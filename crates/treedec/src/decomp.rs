@@ -7,12 +7,14 @@
 //! to it (with only the cross edges — no edges inside the inherited set).
 //! The bag is `B_x = (B_{p(x)} ∩ V(G_x)) ∪ S'_x` where `S'_x` is a balanced
 //! separator of `G'_x`, or all of `V(G_x)` at leaves.
+//!
+//! The recursion itself is [`decompose_region`]; this module holds the
+//! whole-graph entry point, the per-node records and the error type.
 
 use crate::config::SepConfig;
-use crate::sep::{sep_doubling, SepOutcome};
+use crate::region::{decompose_region, RegionOutcome};
 use congest_sim::CongestError;
 use rand::Rng;
-use std::collections::VecDeque;
 use std::fmt;
 use twgraph::alg::MincutError;
 use twgraph::tw::TreeDecomposition;
@@ -34,6 +36,40 @@ pub enum DecompError {
     /// The centralized `min_vertex_cut` inside `Sep` step 4 reported a
     /// violated precondition or a broken max-flow/min-cut invariant.
     Mincut(MincutError),
+    /// [`crate::decompose_region`] got a region or boundary that breaks its
+    /// input contract.
+    InvalidRegion(RegionFault),
+}
+
+/// How a [`crate::decompose_region`] input breaks its contract, naming the
+/// first offending vertex.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RegionFault {
+    /// A region vertex is not a vertex of the graph.
+    RegionOutOfRange(u32),
+    /// A boundary vertex is not a vertex of the graph.
+    BoundaryOutOfRange(u32),
+    /// The region list is not strictly ascending at this vertex.
+    NotAscending(u32),
+    /// The vertex lies in both the region and the boundary.
+    InBoth(u32),
+}
+
+impl fmt::Display for RegionFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RegionFault::RegionOutOfRange(v) => write!(f, "region vertex {v} is out of range"),
+            RegionFault::BoundaryOutOfRange(v) => {
+                write!(f, "boundary vertex {v} is out of range")
+            }
+            RegionFault::NotAscending(v) => {
+                write!(f, "region is not strictly ascending at vertex {v}")
+            }
+            RegionFault::InBoth(v) => {
+                write!(f, "vertex {v} is in both the region and the boundary")
+            }
+        }
+    }
 }
 
 impl fmt::Display for DecompError {
@@ -45,6 +81,7 @@ impl fmt::Display for DecompError {
             }
             DecompError::Congest(e) => write!(f, "{e}"),
             DecompError::Mincut(e) => write!(f, "separator step 4: {e}"),
+            DecompError::InvalidRegion(fault) => write!(f, "invalid region: {fault}"),
         }
     }
 }
@@ -127,19 +164,10 @@ pub struct DecompOutcome {
     pub t_used: u64,
 }
 
-/// Sorted intersection of a sorted vector with a predicate-free list.
-pub(crate) fn adjacent_subset(g: &UGraph, candidates: &[u32], comp_mask: &[bool]) -> Vec<u32> {
-    let mut out: Vec<u32> = candidates
-        .iter()
-        .copied()
-        .filter(|&b| g.neighbors(b).iter().any(|&u| comp_mask[u as usize]))
-        .collect();
-    out.sort_unstable();
-    out
-}
-
 /// Build the tree decomposition of the (connected) graph `g` (Theorem 1's
-/// centralized counterpart; the distributed version lives in [`crate::dist`]).
+/// centralized counterpart; the distributed version lives in [`crate::dist`]):
+/// the recursion of [`decompose_region`] over all of V with an empty
+/// boundary.
 pub fn decompose_centralized(
     g: &UGraph,
     t0: u64,
@@ -153,115 +181,15 @@ pub fn decompose_centralized(
     if !twgraph::alg::is_connected(g) {
         return Err(DecompError::Disconnected);
     }
-
+    let all: Vec<u32> = (0..n as u32).collect();
+    let RegionOutcome { nodes, t_used } = decompose_region(g, &all, &[], t0, cfg, rng)?;
     let mut td = TreeDecomposition::default();
-    let mut info: Vec<NodeInfo> = Vec::new();
-    let mut t_used = t0.max(2);
-
-    struct Work {
-        parent: Option<usize>,
-        gpx: Vec<u32>,
-        inherited: Vec<u32>,
+    let mut info = Vec::with_capacity(nodes.len());
+    for node in nodes {
+        td.push_bag(node.parent, node.bag);
+        info.push(node.info);
     }
-    let mut queue = VecDeque::new();
-    queue.push_back(Work {
-        parent: None,
-        gpx: (0..n as u32).collect(),
-        inherited: Vec::new(),
-    });
-
-    while let Some(w) = queue.pop_front() {
-        // Separator of G'_x with X = V(G'_x).
-        let mut members = vec![false; n];
-        let mut mu = vec![0u64; n];
-        for &v in &w.gpx {
-            members[v as usize] = true;
-            mu[v as usize] = 1;
-        }
-        let SepOutcome {
-            separator: sep,
-            t_used: t_here,
-            ..
-        } = sep_doubling(g, &members, &mu, t_used, cfg, rng)?;
-        t_used = t_used.max(t_here);
-
-        let gx_size = w.gpx.len() + w.inherited.len();
-        let sx_size = sep.len() + w.inherited.len();
-        if gx_size <= 2 * sx_size {
-            // Leaf: B_x = V(G_x).
-            let mut bag: Vec<u32> = w.gpx.iter().chain(w.inherited.iter()).copied().collect();
-            bag.sort_unstable();
-            let _ = td.push_bag(w.parent, bag);
-            info.push(NodeInfo {
-                gpx: w.gpx,
-                inherited: w.inherited,
-                sep,
-                is_leaf: true,
-            });
-            continue;
-        }
-
-        // Internal node: B_x = inherited ∪ S'_x.
-        let mut bag: Vec<u32> = w.inherited.iter().chain(sep.iter()).copied().collect();
-        bag.sort_unstable();
-        bag.dedup();
-        let x = td.push_bag(w.parent, bag.clone());
-        debug_assert_eq!(x, info.len());
-
-        // Children: components of G'_x − S'_x.
-        let mut child_members = members.clone();
-        for &s in &sep {
-            child_members[s as usize] = false;
-        }
-        let comps = components_of(g, &child_members);
-        for comp in comps {
-            let mut comp_mask = vec![false; n];
-            for &v in &comp {
-                comp_mask[v as usize] = true;
-            }
-            let child_inherited = adjacent_subset(g, &bag, &comp_mask);
-            queue.push_back(Work {
-                parent: Some(x),
-                gpx: comp,
-                inherited: child_inherited,
-            });
-        }
-        info.push(NodeInfo {
-            gpx: w.gpx,
-            inherited: w.inherited,
-            sep,
-            is_leaf: false,
-        });
-    }
-
     Ok(DecompOutcome { td, info, t_used })
-}
-
-/// Connected components of the subgraph induced by `mask`, each sorted.
-pub(crate) fn components_of(g: &UGraph, mask: &[bool]) -> Vec<Vec<u32>> {
-    let n = g.n();
-    let mut seen = vec![false; n];
-    let mut out = Vec::new();
-    for s in 0..n as u32 {
-        if seen[s as usize] || !mask[s as usize] {
-            continue;
-        }
-        let mut comp = vec![s];
-        seen[s as usize] = true;
-        let mut q = VecDeque::from([s]);
-        while let Some(u) = q.pop_front() {
-            for &v in g.neighbors(u) {
-                if mask[v as usize] && !seen[v as usize] {
-                    seen[v as usize] = true;
-                    comp.push(v);
-                    q.push_back(v);
-                }
-            }
-        }
-        comp.sort_unstable();
-        out.push(comp);
-    }
-    out
 }
 
 #[cfg(test)]

@@ -37,19 +37,18 @@
 
 use crate::config::{BranchSchedule, SepConfig};
 use crate::decomp::{DecompError, NodeInfo};
-use crate::sep::SepPath;
+use crate::region::{materialize, Materialized};
+use crate::sep::{SepCore, SepPath};
 use crate::split::{split_to_completion, STree};
 use congest_sim::{balanced_ranges, CongestError, Network};
 use rand::Rng;
 use rayon::prelude::*;
-use std::collections::VecDeque;
 use subgraph_ops::ccd;
 use subgraph_ops::global::{build_global_tree, GlobalTree};
 use subgraph_ops::mvc::{batch_min_vertex_cut, CutInstance, CutResult};
 use subgraph_ops::pa;
 use subgraph_ops::{bfs::part_bfs_trees, ParentMap, Parts, TreeRoles};
-use twgraph::view::{StampSet, SubgraphView};
-use twgraph::UGraph;
+use twgraph::view::StampSet;
 
 /// Result of the distributed decomposition.
 #[derive(Clone, Debug)]
@@ -511,14 +510,10 @@ fn batched_sep_attempt(
                 if a == b {
                     continue;
                 }
-                let mut xs = ti[a].members();
-                let mut ys = ti[b].members();
-                xs.sort_unstable();
-                ys.sort_unstable();
                 instances.push(CutInstance {
                     members: Some(items[i].to_vec()),
-                    sources: xs,
-                    sinks: ys,
+                    sources: ti[a].sorted_members(),
+                    sinks: ti[b].sorted_members(),
                 });
                 owner.push(i);
             }
@@ -597,114 +592,6 @@ fn stree_from_roles(trees: &TreeRoles, pid: u32, root: u32) -> STree {
     STree { root, nodes }
 }
 
-/// Per-item output of the (parallelizable) level materialization.
-struct Materialized {
-    /// `true` → single bag `gpx ∪ inherited`, no children.
-    leaf: bool,
-    /// The bag `B_x` (leaf: `V(G_x)`; internal: `inherited ∪ S'_x`).
-    bag: Vec<u32>,
-    /// Children as `(component, child_inherited)` pairs, in component order.
-    children: Vec<(Vec<u32>, Vec<u32>)>,
-}
-
-/// Scratch for one materialization worker (one per rayon chunk).
-struct MatScratch {
-    mask: StampSet,
-    visited: StampSet,
-    queue: VecDeque<u32>,
-}
-
-/// Materialize one item: decide leaf/internal, compute the bag, and find
-/// the post-separator components with their inherited boundaries. Pure
-/// local computation over the view — no charged traffic.
-fn materialize_item(
-    g: &UGraph,
-    s: &mut MatScratch,
-    gpx: &[u32],
-    inherited: &[u32],
-    sep: &[u32],
-) -> Materialized {
-    let gx_size = gpx.len() + inherited.len();
-    let sx_size = sep.len() + inherited.len();
-    if gx_size <= 2 * sx_size {
-        // Leaf: B_x = V(G_x) (gpx and inherited are disjoint + sorted).
-        let mut bag = Vec::with_capacity(gx_size);
-        merge_sorted(gpx, inherited, &mut bag);
-        return Materialized {
-            leaf: true,
-            bag,
-            children: Vec::new(),
-        };
-    }
-
-    // Internal: B_x = inherited ∪ S'_x.
-    let mut bag: Vec<u32> = inherited.iter().chain(sep.iter()).copied().collect();
-    bag.sort_unstable();
-    bag.dedup();
-
-    // Components of G'_x − S'_x through the stamped view.
-    s.mask.clear();
-    for &v in gpx {
-        s.mask.insert(v, 0);
-    }
-    for &v in sep {
-        s.mask.remove(v);
-    }
-    let members: Vec<u32> = gpx
-        .iter()
-        .copied()
-        .filter(|&v| s.mask.contains(v))
-        .collect();
-    let mut comps = Vec::new();
-    SubgraphView::new(g, &members, &s.mask).components_into(
-        &mut s.visited,
-        &mut s.queue,
-        &mut comps,
-    );
-
-    // Tag each component's vertices, then collect every bag vertex adjacent
-    // to a component as that child's inherited boundary (in bag order,
-    // hence sorted).
-    s.visited.clear();
-    for (c, comp) in comps.iter().enumerate() {
-        for &v in comp {
-            s.visited.insert(v, c as u32);
-        }
-    }
-    let mut child_inh: Vec<Vec<u32>> = vec![Vec::new(); comps.len()];
-    let mut touched: Vec<u32> = Vec::new();
-    for &b in &bag {
-        touched.clear();
-        touched.extend(g.neighbors(b).iter().filter_map(|&u| s.visited.tag(u)));
-        touched.sort_unstable();
-        touched.dedup();
-        for &c in &touched {
-            child_inh[c as usize].push(b);
-        }
-    }
-    Materialized {
-        leaf: false,
-        bag,
-        children: comps.into_iter().zip(child_inh).collect(),
-    }
-}
-
-/// Merge two disjoint sorted lists into `out`.
-fn merge_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] < b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-}
-
 /// Distributed tree decomposition of the network's communication graph
 /// (paper Theorem 1). Rounds are accumulated in the network's metrics and
 /// reported in the outcome.
@@ -731,7 +618,7 @@ pub fn decompose_distributed(
     let mut info: Vec<NodeInfo> = Vec::new();
     let mut t = t0.max(2);
     let mut scratch = SepScratch::new(n);
-    let mut mat_pool: Vec<MatScratch> = Vec::new();
+    let mut mat_pool: Vec<SepCore> = Vec::new();
     let mut level = LevelArena::default();
     let mut next_level = LevelArena::default();
     level.push_item(None, &(0..n as u32).collect::<Vec<u32>>(), &[]);
@@ -780,13 +667,9 @@ pub fn decompose_distributed(
             n_items,
             &weight_prefix,
             &mut mat_pool,
-            || MatScratch {
-                mask: StampSet::new(n),
-                visited: StampSet::new(n),
-                queue: VecDeque::new(),
-            },
+            || SepCore::new(n),
             |s, i| {
-                materialize_item(
+                materialize(
                     g_ref,
                     s,
                     level_ref.gpx_of(i),
@@ -800,7 +683,7 @@ pub fn decompose_distributed(
         for (i, m) in materialized.into_iter().enumerate() {
             let (sep, _path) = &seps[i];
             let parent = level.items[i].parent;
-            if m.leaf {
+            if m.is_leaf {
                 td.push_bag(parent, m.bag);
                 info.push(NodeInfo {
                     gpx: level.gpx_of(i).to_vec(),

@@ -35,7 +35,7 @@ pub mod sep;
 pub mod split;
 
 pub use config::{BranchSchedule, SepConfig};
-pub use decomp::{decompose_centralized, DecompError, DecompOutcome};
+pub use decomp::{decompose_centralized, DecompError, DecompOutcome, RegionFault};
 pub use dist::{decompose_distributed, DistDecompOutcome};
 pub use region::{decompose_region, RegionNode, RegionOutcome};
 pub use sep::{sep_centralized, SepOutcome};

@@ -1,5 +1,6 @@
-//! Scoped re-decomposition of a dirty region — the tree-surgery half of
-//! incremental label maintenance.
+//! The §3.4 recursion over a vertex region: the whole graph for
+//! [`crate::decompose_centralized`], or a dirty region for the
+//! tree-surgery half of incremental label maintenance.
 //!
 //! When an edge batch lands entirely inside `V(G'_x)` for some tree node
 //! `x`, the decomposition outside `subtree(x)` is untouched: `V(G'_x)` is
@@ -11,8 +12,8 @@
 //! `distlabel::incremental`) owns the splice and the relabeling.
 
 use crate::config::SepConfig;
-use crate::decomp::{adjacent_subset, components_of, DecompError, NodeInfo};
-use crate::sep::{sep_doubling, SepOutcome};
+use crate::decomp::{DecompError, NodeInfo, RegionFault};
+use crate::sep::{SepCore, SepOutcome};
 use rand::Rng;
 use std::collections::VecDeque;
 use twgraph::UGraph;
@@ -40,13 +41,21 @@ pub struct RegionOutcome {
     pub t_used: u64,
 }
 
-/// Re-decompose `region` (the old `V(G'_x)`, as a sorted vertex list of
-/// `g`) against the unchanged `boundary` (the old `B_{p(x)}`). `g` is the
-/// *updated* graph. Each connected component of `g[region]` becomes one
-/// replacement subtree whose root inherits the boundary vertices adjacent
-/// to it — exactly the recursion state `decompose_centralized` would hand
-/// a child of `p(x)`, so the splice preserves Proposition 3 for every
-/// node, old and new.
+/// Re-decompose `region` (the old `V(G'_x)`, as a strictly ascending
+/// vertex list of `g`) against the unchanged `boundary` (the old
+/// `B_{p(x)}`, disjoint from `region`). `g` is the *updated* graph. Each
+/// connected component of `g[region]` becomes one replacement subtree
+/// whose root inherits the boundary vertices adjacent to it — exactly the
+/// recursion state a child of `p(x)` gets, so the splice preserves
+/// Proposition 3 for every node, old and new.
+///
+/// This is the §3.4 recursion itself: [`crate::decompose_centralized`] is
+/// this function on all of V with an empty boundary. Every per-vertex
+/// buffer is allocated once here and cleared in O(1) per use, so a tree
+/// node `x` costs time proportional to `|V(G_x)|` plus the edges at
+/// `V(G'_x)`, not to n. Returns [`DecompError::InvalidRegion`] when
+/// `region` or `boundary` names a vertex outside `g`, `region` is not
+/// strictly ascending, or the two share a vertex.
 pub fn decompose_region(
     g: &UGraph,
     region: &[u32],
@@ -55,100 +64,115 @@ pub fn decompose_region(
     cfg: &SepConfig,
     rng: &mut impl Rng,
 ) -> Result<RegionOutcome, DecompError> {
+    check_region(g.n(), region, boundary).map_err(DecompError::InvalidRegion)?;
     let n = g.n();
-    let mut region_mask = vec![false; n];
-    for &v in region {
-        region_mask[v as usize] = true;
-    }
+    // µ = 1 on every member; `Sep` reads µ only at its members.
+    let unit_mu = vec![1u64; n];
+    let mut sep_core = SepCore::new(n);
 
-    struct Work {
-        parent: Option<usize>,
-        gpx: Vec<u32>,
-        inherited: Vec<u32>,
-    }
-    let mut queue = VecDeque::new();
-    for comp in components_of(g, &region_mask) {
-        let mut comp_mask = vec![false; n];
-        for &v in &comp {
-            comp_mask[v as usize] = true;
-        }
-        let inherited = adjacent_subset(g, boundary, &comp_mask);
-        queue.push_back(Work {
-            parent: None,
-            gpx: comp,
-            inherited,
-        });
-    }
+    // Pending subproblems: (parent, V(G'_x), inherited boundary).
+    let mut queue: VecDeque<(Option<usize>, Vec<u32>, Vec<u32>)> = sep_core
+        .components(g, region, boundary)
+        .into_iter()
+        .map(|(gpx, inherited)| (None, gpx, inherited))
+        .collect();
 
     let mut out = RegionOutcome {
         nodes: Vec::new(),
         t_used: t0.max(2),
     };
-    while let Some(w) = queue.pop_front() {
-        let mut members = vec![false; n];
-        let mut mu = vec![0u64; n];
-        for &v in &w.gpx {
-            members[v as usize] = true;
-            mu[v as usize] = 1;
-        }
+    while let Some((parent, gpx, inherited)) = queue.pop_front() {
+        // Separator of G'_x with X = V(G'_x).
         let SepOutcome {
             separator: sep,
             t_used: t_here,
             ..
-        } = sep_doubling(g, &members, &mu, out.t_used, cfg, rng)?;
+        } = sep_core.sep_doubling(g, &gpx, &unit_mu, out.t_used, cfg, rng)?;
         out.t_used = out.t_used.max(t_here);
 
-        let gx_size = w.gpx.len() + w.inherited.len();
-        let sx_size = sep.len() + w.inherited.len();
-        if gx_size <= 2 * sx_size {
-            let mut bag: Vec<u32> = w.gpx.iter().chain(w.inherited.iter()).copied().collect();
-            bag.sort_unstable();
-            out.nodes.push(RegionNode {
-                parent: w.parent,
-                bag,
-                info: NodeInfo {
-                    gpx: w.gpx,
-                    inherited: w.inherited,
-                    sep,
-                    is_leaf: true,
-                },
-            });
-            continue;
-        }
-
-        let mut bag: Vec<u32> = w.inherited.iter().chain(sep.iter()).copied().collect();
-        bag.sort_unstable();
-        bag.dedup();
         let x = out.nodes.len();
-
-        let mut child_members = members.clone();
-        for &s in &sep {
-            child_members[s as usize] = false;
-        }
-        for comp in components_of(g, &child_members) {
-            let mut comp_mask = vec![false; n];
-            for &v in &comp {
-                comp_mask[v as usize] = true;
-            }
-            let child_inherited = adjacent_subset(g, &bag, &comp_mask);
-            queue.push_back(Work {
-                parent: Some(x),
-                gpx: comp,
-                inherited: child_inherited,
-            });
-        }
+        let Materialized {
+            is_leaf,
+            bag,
+            children,
+        } = materialize(g, &mut sep_core, &gpx, &inherited, &sep);
+        queue.extend(children.into_iter().map(|(comp, inh)| (Some(x), comp, inh)));
         out.nodes.push(RegionNode {
-            parent: w.parent,
+            parent,
             bag,
             info: NodeInfo {
-                gpx: w.gpx,
-                inherited: w.inherited,
+                gpx,
+                inherited,
                 sep,
-                is_leaf: false,
+                is_leaf,
             },
         });
     }
     Ok(out)
+}
+
+/// One tree node of either recursion, materialized from its separator.
+pub(crate) struct Materialized {
+    /// `true` → single bag `V(G_x)`, no children.
+    pub(crate) is_leaf: bool,
+    /// The bag `B_x` (leaf: `V(G_x)`; internal: `inherited ∪ S'_x`).
+    pub(crate) bag: Vec<u32>,
+    /// Children as `(component, child_inherited)` pairs, in component order.
+    pub(crate) children: Vec<(Vec<u32>, Vec<u32>)>,
+}
+
+/// Decide leaf or internal for the node with `V(G'_x) = gpx`, the given
+/// inherited boundary and separator `sep` (all ascending), compute its
+/// bag, and split `G'_x − S'_x` into the child subproblems, each with the
+/// bag vertices adjacent to it. Local work only, in time proportional to
+/// `|V(G_x)|` plus the edges at `gpx`; [`crate::dist`] runs it uncharged.
+pub(crate) fn materialize(
+    g: &UGraph,
+    sep_core: &mut SepCore,
+    gpx: &[u32],
+    inherited: &[u32],
+    sep: &[u32],
+) -> Materialized {
+    if gpx.len() + inherited.len() <= 2 * (sep.len() + inherited.len()) {
+        let mut bag: Vec<u32> = gpx.iter().chain(inherited).copied().collect();
+        bag.sort_unstable();
+        return Materialized {
+            is_leaf: true,
+            bag,
+            children: Vec::new(),
+        };
+    }
+    let mut bag: Vec<u32> = inherited.iter().chain(sep).copied().collect();
+    bag.sort_unstable();
+    bag.dedup();
+    let rest: Vec<u32> = gpx
+        .iter()
+        .copied()
+        .filter(|v| sep.binary_search(v).is_err())
+        .collect();
+    let children = sep_core.components(g, &rest, &bag);
+    Materialized {
+        is_leaf: false,
+        bag,
+        children,
+    }
+}
+
+/// The [`decompose_region`] input contract.
+fn check_region(n: usize, region: &[u32], boundary: &[u32]) -> Result<(), RegionFault> {
+    if let Some(&v) = region.iter().find(|&&v| v as usize >= n) {
+        return Err(RegionFault::RegionOutOfRange(v));
+    }
+    if let Some(&b) = boundary.iter().find(|&&b| b as usize >= n) {
+        return Err(RegionFault::BoundaryOutOfRange(b));
+    }
+    if let Some(w) = region.windows(2).find(|w| w[0] >= w[1]) {
+        return Err(RegionFault::NotAscending(w[1]));
+    }
+    match boundary.iter().find(|b| region.binary_search(b).is_ok()) {
+        Some(&b) => Err(RegionFault::InBoth(b)),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -199,5 +223,49 @@ mod tests {
                 assert!(pp < i);
             }
         }
+    }
+
+    /// The fault `decompose_region` reports on a 10-vertex banded path.
+    fn region_fault(region: &[u32], boundary: &[u32]) -> DecompError {
+        let g = banded_path(10, 2);
+        let cfg = SepConfig::practical(g.n());
+        let mut rng = SmallRng::seed_from_u64(0);
+        decompose_region(&g, region, boundary, 3, &cfg, &mut rng).unwrap_err()
+    }
+
+    #[test]
+    fn out_of_range_region_vertex_is_typed_error() {
+        assert_eq!(
+            region_fault(&[3, 4, 10], &[2]),
+            DecompError::InvalidRegion(RegionFault::RegionOutOfRange(10))
+        );
+    }
+
+    #[test]
+    fn out_of_range_boundary_vertex_is_typed_error() {
+        assert_eq!(
+            region_fault(&[3, 4], &[2, 99]),
+            DecompError::InvalidRegion(RegionFault::BoundaryOutOfRange(99))
+        );
+    }
+
+    #[test]
+    fn unsorted_or_repeated_region_is_typed_error() {
+        assert_eq!(
+            region_fault(&[3, 5, 4], &[2]),
+            DecompError::InvalidRegion(RegionFault::NotAscending(4))
+        );
+        assert_eq!(
+            region_fault(&[3, 4, 4], &[2]),
+            DecompError::InvalidRegion(RegionFault::NotAscending(4))
+        );
+    }
+
+    #[test]
+    fn region_meeting_boundary_is_typed_error() {
+        assert_eq!(
+            region_fault(&[3, 4, 5], &[1, 4]),
+            DecompError::InvalidRegion(RegionFault::InBoth(4))
+        );
     }
 }

@@ -7,6 +7,7 @@ use crate::split::{split_to_completion, STree};
 use rand::Rng;
 use std::collections::VecDeque;
 use twgraph::alg::{min_vertex_cut, MincutError};
+use twgraph::view::{StampSet, SubgraphView};
 use twgraph::UGraph;
 
 /// Which of the algorithm's output paths produced the separator.
@@ -34,96 +35,314 @@ pub struct SepOutcome {
     pub path: SepPath,
 }
 
-/// Spanning tree of the subgraph induced by `members` (must be connected
-/// within it), randomized neighbour order.
-fn spanning_tree_of(g: &UGraph, members: &[bool], rng: &mut impl Rng) -> STree {
-    let root = (0..g.n() as u32)
-        .find(|&v| members[v as usize])
-        .expect("empty subgraph has no spanning tree");
-    let mut parent = vec![u32::MAX; g.n()];
-    parent[root as usize] = root;
-    let mut nodes = vec![(root, root)];
-    let mut q = VecDeque::new();
-    q.push_back(root);
-    let mut scratch: Vec<u32> = Vec::new();
-    while let Some(u) = q.pop_front() {
-        scratch.clear();
-        scratch.extend(
-            g.neighbors(u)
-                .iter()
-                .copied()
-                .filter(|&v| members[v as usize] && parent[v as usize] == u32::MAX),
-        );
-        // Randomized order, matching the arbitrary tie-breaks a distributed
-        // execution would produce.
-        for i in (1..scratch.len()).rev() {
-            scratch.swap(i, rng.gen_range(0..=i));
-        }
-        for &v in &scratch {
-            if parent[v as usize] == u32::MAX {
-                parent[v as usize] = u;
-                nodes.push((v, u));
-                q.push_back(v);
-            }
-        }
-    }
-    STree { root, nodes }
+/// The one centralized `Sep` core: dense per-vertex sets allocated once
+/// per decomposition, generation-stamped and cleared in O(1), so one
+/// `Sep` call costs time proportional to its members and their edges, not
+/// to n (the `SepScratch` idiom of [`crate::dist`]).
+pub(crate) struct SepCore {
+    /// V(G) of the current call.
+    member: StampSet,
+    /// Vertices cut out of a component search: R*, or a tested separator.
+    removed: StampSet,
+    /// Search marks of the spanning-tree and component floods.
+    seen: StampSet,
+    queue: VecDeque<u32>,
 }
 
-/// µ-measure of the heaviest component of `g` minus `removed`, restricted
-/// to `members`, together with that component's vertex list.
-fn heaviest_component(
-    g: &UGraph,
-    members: &[bool],
-    removed: &[bool],
-    mu: &[u64],
-) -> (u64, Vec<u32>) {
-    let n = g.n();
-    let mut seen = vec![false; n];
-    let mut best: (u64, Vec<u32>) = (0, Vec::new());
-    for s in 0..n as u32 {
-        let si = s as usize;
-        if seen[si] || !members[si] || removed[si] {
-            continue;
+impl SepCore {
+    pub(crate) fn new(n: usize) -> Self {
+        SepCore {
+            member: StampSet::new(n),
+            removed: StampSet::new(n),
+            seen: StampSet::new(n),
+            queue: VecDeque::new(),
         }
-        let mut comp = vec![s];
-        let mut total = mu[si];
-        seen[si] = true;
-        let mut q = VecDeque::from([s]);
-        while let Some(u) = q.pop_front() {
-            for &v in g.neighbors(u) {
-                let vi = v as usize;
-                if !seen[vi] && members[vi] && !removed[vi] {
-                    seen[vi] = true;
-                    total += mu[vi];
-                    comp.push(v);
-                    q.push_back(v);
+    }
+
+    /// [`sep_doubling`] on `g[members]`, `members` strictly ascending.
+    pub(crate) fn sep_doubling(
+        &mut self,
+        g: &UGraph,
+        members: &[u32],
+        mu: &[u64],
+        t0: u64,
+        cfg: &SepConfig,
+        rng: &mut impl Rng,
+    ) -> Result<SepOutcome, MincutError> {
+        let mut t = t0.max(2);
+        loop {
+            if let Some(out) = self.attempt(g, members, mu, t, cfg, rng)? {
+                return Ok(out);
+            }
+            t *= 2;
+            assert!(
+                t <= 4 * g.n() as u64 + 16,
+                "Sep doubling ran away — this cannot happen (step 1 must fire)"
+            );
+        }
+    }
+
+    /// [`sep_centralized`] on `g[members]`, `members` strictly ascending.
+    fn attempt(
+        &mut self,
+        g: &UGraph,
+        members: &[u32],
+        mu: &[u64],
+        t: u64,
+        cfg: &SepConfig,
+        rng: &mut impl Rng,
+    ) -> Result<Option<SepOutcome>, MincutError> {
+        let mu_g: u64 = members.iter().map(|&v| mu[v as usize]).sum();
+
+        // Step 1.
+        if mu_g <= cfg.small_cutoff * t * t {
+            let separator: Vec<u32> = members
+                .iter()
+                .copied()
+                .filter(|&v| mu[v as usize] > 0)
+                .collect();
+            return Ok(Some(SepOutcome {
+                separator,
+                t_used: t,
+                path: SepPath::Small,
+            }));
+        }
+
+        // Steps 2–3: harvest split-tree roots over shrinking G_i. Each G_i
+        // is a component of G − R*, so every search below floods
+        // `member − removed` and stays inside the G_i it starts in.
+        load(&mut self.member, members);
+        load(&mut self.removed, &[]); // R*
+        let mut cur: Vec<u32> = members.to_vec(); // V(G_i), ascending
+        let mut r_star: Vec<u32> = Vec::new();
+        let mut tis: Vec<Vec<STree>> = Vec::new();
+        let iters = cfg.iterations(t);
+        let mut roots_balanced_at = None;
+        for i in 1..=iters {
+            let t_star = self.spanning_tree(g, &cur, rng);
+            let ti = split_to_completion(t_star, mu, mu_g, t, cfg);
+            let mut ri: Vec<u32> = ti.iter().map(|tr| tr.root).collect();
+            ri.sort_unstable();
+            ri.dedup();
+            for &r in &ri {
+                if !self.removed.contains(r) {
+                    self.removed.insert(r, 0);
+                    r_star.push(r);
+                }
+            }
+            tis.push(ti);
+            // Balance check of R* against the whole input subgraph.
+            let (largest, _) = self.heaviest(g, members, mu);
+            if cfg.is_balanced(largest, mu_g) {
+                roots_balanced_at = Some(i);
+                break;
+            }
+            if i < iters {
+                // G_{i+1} = heaviest component of G_i − R_i.
+                cur = self.heaviest(g, &cur, mu).1;
+                cur.sort_unstable();
+                if cur.is_empty() {
+                    // Everything got removed — R* is trivially balanced.
+                    roots_balanced_at = Some(i);
+                    break;
                 }
             }
         }
-        if total > best.0 || (total == best.0 && best.1.is_empty()) {
-            best = (total, comp);
+        if let Some(i) = roots_balanced_at {
+            r_star.sort_unstable();
+            return Ok(Some(SepOutcome {
+                separator: r_star,
+                t_used: t,
+                path: SepPath::Roots(i),
+            }));
+        }
+
+        // Step 4: sampled-pair vertex cuts.
+        for _trial in 0..cfg.trials.max(1) {
+            let mut z: Vec<u32> = Vec::new();
+            for ti in &tis {
+                if ti.len() < 2 {
+                    continue;
+                }
+                for _ in 0..cfg.sampled_pairs {
+                    let a = rng.gen_range(0..ti.len());
+                    let b = rng.gen_range(0..ti.len());
+                    if a == b {
+                        continue;
+                    }
+                    let xs = ti[a].sorted_members();
+                    let ys = ti[b].sorted_members();
+                    if let Some(cut) = min_vertex_cut(g, Some(members), &xs, &ys, t as usize)? {
+                        z.extend(cut);
+                    }
+                }
+            }
+            z.sort_unstable();
+            z.dedup();
+            if self.balanced_without(g, members, &z, mu, mu_g, cfg) {
+                return Ok(Some(SepOutcome {
+                    separator: z,
+                    t_used: t,
+                    path: SepPath::Cuts,
+                }));
+            }
+            if cfg.union_fallback {
+                let mut u: Vec<u32> = z.iter().chain(r_star.iter()).copied().collect();
+                u.sort_unstable();
+                u.dedup();
+                if self.balanced_without(g, members, &u, mu, mu_g, cfg) {
+                    return Ok(Some(SepOutcome {
+                        separator: u,
+                        t_used: t,
+                        path: SepPath::Union,
+                    }));
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// BFS spanning tree of `g[cur]` (a component of `member − removed`)
+    /// rooted at its smallest vertex, with randomized neighbour order.
+    fn spanning_tree(&mut self, g: &UGraph, cur: &[u32], rng: &mut impl Rng) -> STree {
+        let root = cur[0];
+        self.seen.clear();
+        self.seen.insert(root, 0);
+        // `nodes` doubles as the BFS queue.
+        let mut nodes = vec![(root, root)];
+        let mut head = 0;
+        let mut scratch: Vec<u32> = Vec::new();
+        while let Some(&(u, _)) = nodes.get(head) {
+            head += 1;
+            scratch.clear();
+            scratch.extend(
+                g.neighbors(u)
+                    .iter()
+                    .copied()
+                    .filter(|&v| self.open(v) && !self.seen.contains(v)),
+            );
+            // Randomized order, matching the arbitrary tie-breaks a
+            // distributed execution would produce.
+            for i in (1..scratch.len()).rev() {
+                scratch.swap(i, rng.gen_range(0..=i));
+            }
+            for &v in &scratch {
+                if !self.seen.contains(v) {
+                    self.seen.insert(v, 0);
+                    nodes.push((v, u));
+                }
+            }
+        }
+        STree { root, nodes }
+    }
+
+    /// Is `v` in `member − removed`?
+    fn open(&self, v: u32) -> bool {
+        self.member.contains(v) && !self.removed.contains(v)
+    }
+
+    /// µ-measure and vertices of the heaviest component of
+    /// `g[member − removed]` among those meeting `list` (ascending, a union
+    /// of such components plus removed vertices). Ties go to the component
+    /// found first.
+    fn heaviest(&mut self, g: &UGraph, list: &[u32], mu: &[u64]) -> (u64, Vec<u32>) {
+        self.seen.clear();
+        let mut best: (u64, Vec<u32>) = (0, Vec::new());
+        let mut comp = Vec::new();
+        for &s in list {
+            if self.seen.contains(s) || self.removed.contains(s) {
+                continue;
+            }
+            comp.clear();
+            self.flood(g, s, |v| comp.push(v));
+            let total = comp.iter().map(|&v| mu[v as usize]).sum();
+            if total > best.0 || best.1.is_empty() {
+                best = (total, std::mem::take(&mut comp));
+            }
+        }
+        best
+    }
+
+    /// Visit (and mark seen) every vertex of the component of `s` in
+    /// `g[member − removed]`.
+    fn flood(&mut self, g: &UGraph, s: u32, mut visit: impl FnMut(u32)) {
+        self.seen.insert(s, 0);
+        visit(s);
+        self.queue.push_back(s);
+        while let Some(u) = self.queue.pop_front() {
+            for &v in g.neighbors(u) {
+                if !self.seen.contains(v) && self.open(v) {
+                    self.seen.insert(v, 0);
+                    visit(v);
+                    self.queue.push_back(v);
+                }
+            }
         }
     }
-    best
+
+    /// Is `sep` an (X, α)-balanced separator of `g[members]` (stamped in
+    /// `self.member`) w.r.t. `mu` summing to `mu_g`?
+    fn balanced_without(
+        &mut self,
+        g: &UGraph,
+        members: &[u32],
+        sep: &[u32],
+        mu: &[u64],
+        mu_g: u64,
+        cfg: &SepConfig,
+    ) -> bool {
+        load(&mut self.removed, sep);
+        let (largest, _) = self.heaviest(g, members, mu);
+        cfg.is_balanced(largest, mu_g)
+    }
+
+    /// The connected components of `g[verts]` (`verts` ascending; the
+    /// components in order of their smallest vertex, each ascending), each
+    /// paired with the ascending list of `bound` vertices adjacent to it —
+    /// the recursion's child subproblems. `bound` must be disjoint from
+    /// `verts`. Costs O(|verts| + their edges + |bound|).
+    pub(crate) fn components(
+        &mut self,
+        g: &UGraph,
+        verts: &[u32],
+        bound: &[u32],
+    ) -> Vec<(Vec<u32>, Vec<u32>)> {
+        load(&mut self.member, verts);
+        load(&mut self.removed, bound);
+        let mut comps = Vec::new();
+        SubgraphView::new(g, verts, &self.member).components_into(
+            &mut self.seen,
+            &mut self.queue,
+            &mut comps,
+        );
+        comps
+            .into_iter()
+            .map(|comp| {
+                let mut adjacent: Vec<u32> = comp
+                    .iter()
+                    .flat_map(|&v| g.neighbors(v))
+                    .copied()
+                    .filter(|&b| self.removed.contains(b))
+                    .collect();
+                adjacent.sort_unstable();
+                adjacent.dedup();
+                (comp, adjacent)
+            })
+            .collect()
+    }
 }
 
-/// Is `sep` an (X, α)-balanced separator of the subgraph induced by
-/// `members` (w.r.t. the measure `mu` summing to `mu_g`)?
-pub(crate) fn is_balanced_separator(
-    g: &UGraph,
-    members: &[bool],
-    sep: &[u32],
-    mu: &[u64],
-    mu_g: u64,
-    cfg: &SepConfig,
-) -> bool {
-    let mut removed = vec![false; g.n()];
-    for &v in sep {
-        removed[v as usize] = true;
+/// Make `set` hold exactly `vs`.
+fn load(set: &mut StampSet, vs: &[u32]) {
+    set.clear();
+    for &v in vs {
+        set.insert(v, 0);
     }
-    let (largest, _) = heaviest_component(g, members, &removed, mu);
-    cfg.is_balanced(largest, mu_g)
+}
+
+/// The vertices `members` selects, ascending.
+fn member_list(g: &UGraph, members: &[bool]) -> Vec<u32> {
+    (0..g.n() as u32).filter(|&v| members[v as usize]).collect()
 }
 
 /// One attempt of `Sep` at a fixed `t` (steps 1–4). `members` selects the
@@ -139,123 +358,7 @@ pub fn sep_centralized(
     cfg: &SepConfig,
     rng: &mut impl Rng,
 ) -> Result<Option<SepOutcome>, MincutError> {
-    let mu_g: u64 = (0..g.n()).filter(|&v| members[v]).map(|v| mu[v]).sum();
-
-    // Step 1.
-    if mu_g <= cfg.small_cutoff * t * t {
-        let separator: Vec<u32> = (0..g.n() as u32)
-            .filter(|&v| members[v as usize] && mu[v as usize] > 0)
-            .collect();
-        return Ok(Some(SepOutcome {
-            separator,
-            t_used: t,
-            path: SepPath::Small,
-        }));
-    }
-
-    // Steps 2–3: harvest split-tree roots over shrinking G_i.
-    let member_list: Vec<u32> = (0..g.n() as u32).filter(|&v| members[v as usize]).collect();
-    let mut cur_members = members.to_vec(); // V(G_i)
-    let mut removed = vec![false; g.n()]; // R*_i as a mask
-    let mut r_star: Vec<u32> = Vec::new();
-    let mut tis: Vec<Vec<STree>> = Vec::new();
-    let iters = cfg.iterations(t);
-    let mut roots_balanced_at = None;
-    for i in 1..=iters {
-        let t_star = spanning_tree_of(g, &cur_members, rng);
-        let ti = split_to_completion(t_star, mu, mu_g, t, cfg);
-        let mut ri: Vec<u32> = ti.iter().map(|tr| tr.root).collect();
-        ri.sort_unstable();
-        ri.dedup();
-        for &r in &ri {
-            if !removed[r as usize] {
-                removed[r as usize] = true;
-                r_star.push(r);
-            }
-        }
-        tis.push(ti);
-        // Balance check of R* against the whole input subgraph.
-        let (largest, heaviest) = heaviest_component(g, members, &removed, mu);
-        if cfg.is_balanced(largest, mu_g) {
-            roots_balanced_at = Some(i);
-            break;
-        }
-        if i < iters {
-            // G_{i+1} = heaviest component of G_i − R_i.
-            let mut next = vec![false; g.n()];
-            // Recompute the heaviest component *within* G_i (not the whole
-            // input): restrict to cur_members.
-            let (_, comp) = heaviest_component(g, &cur_members, &removed, mu);
-            for v in comp {
-                next[v as usize] = true;
-            }
-            let _ = heaviest;
-            cur_members = next;
-            if cur_members.iter().all(|&b| !b) {
-                // Everything got removed — R* is trivially balanced.
-                roots_balanced_at = Some(i);
-                break;
-            }
-        }
-    }
-    if let Some(i) = roots_balanced_at {
-        r_star.sort_unstable();
-        return Ok(Some(SepOutcome {
-            separator: r_star,
-            t_used: t,
-            path: SepPath::Roots(i),
-        }));
-    }
-
-    // Step 4: sampled-pair vertex cuts.
-    let _ = member_list;
-    for _trial in 0..cfg.trials.max(1) {
-        let mut z: Vec<u32> = Vec::new();
-        for ti in &tis {
-            if ti.len() < 2 {
-                continue;
-            }
-            for _ in 0..cfg.sampled_pairs {
-                let a = rng.gen_range(0..ti.len());
-                let b = rng.gen_range(0..ti.len());
-                if a == b {
-                    continue;
-                }
-                let mut xs = ti[a].members();
-                let mut ys = ti[b].members();
-                xs.sort_unstable();
-                ys.sort_unstable();
-                let mut memb: Vec<u32> =
-                    (0..g.n() as u32).filter(|&v| members[v as usize]).collect();
-                memb.sort_unstable();
-                if let Some(cut) = min_vertex_cut(g, Some(&memb), &xs, &ys, t as usize)? {
-                    z.extend(cut);
-                }
-            }
-        }
-        z.sort_unstable();
-        z.dedup();
-        if is_balanced_separator(g, members, &z, mu, mu_g, cfg) {
-            return Ok(Some(SepOutcome {
-                separator: z,
-                t_used: t,
-                path: SepPath::Cuts,
-            }));
-        }
-        if cfg.union_fallback {
-            let mut u: Vec<u32> = z.iter().chain(r_star.iter()).copied().collect();
-            u.sort_unstable();
-            u.dedup();
-            if is_balanced_separator(g, members, &u, mu, mu_g, cfg) {
-                return Ok(Some(SepOutcome {
-                    separator: u,
-                    t_used: t,
-                    path: SepPath::Union,
-                }));
-            }
-        }
-    }
-    Ok(None)
+    SepCore::new(g.n()).attempt(g, &member_list(g, members), mu, t, cfg, rng)
 }
 
 /// `Sep` with the standard doubling estimation of `t` (paper §3.2): try
@@ -270,17 +373,7 @@ pub fn sep_doubling(
     cfg: &SepConfig,
     rng: &mut impl Rng,
 ) -> Result<SepOutcome, MincutError> {
-    let mut t = t0.max(2);
-    loop {
-        if let Some(out) = sep_centralized(g, members, mu, t, cfg, rng)? {
-            return Ok(out);
-        }
-        t *= 2;
-        assert!(
-            t <= 4 * g.n() as u64 + 16,
-            "Sep doubling ran away — this cannot happen (step 1 must fire)"
-        );
-    }
+    SepCore::new(g.n()).sep_doubling(g, &member_list(g, members), mu, t0, cfg, rng)
 }
 
 #[cfg(test)]
@@ -292,6 +385,23 @@ mod tests {
 
     fn uniform_mu(n: usize) -> Vec<u64> {
         vec![1; n]
+    }
+
+    /// Is `sep` an (X, α)-balanced separator of `g[members]`?
+    fn is_balanced_separator(
+        g: &UGraph,
+        members: &[bool],
+        sep: &[u32],
+        mu: &[u64],
+        mu_g: u64,
+        cfg: &SepConfig,
+    ) -> bool {
+        let list = member_list(g, members);
+        let mut s = SepCore::new(g.n());
+        for &v in &list {
+            s.member.insert(v, 0);
+        }
+        s.balanced_without(g, &list, sep, mu, mu_g, cfg)
     }
 
     fn run(g: &UGraph, t0: u64, cfg: &SepConfig, seed: u64) -> SepOutcome {

@@ -1,9 +1,14 @@
 //! The `Split` procedure (paper §3.3 step 2, Fig. 1): carve a rooted tree
 //! into split trees of µ-size within [µ(G)/(12t), µ(G)/(4t)], vertex
 //! disjoint except for shared roots.
+//!
+//! Each [`split_tree`] call builds one dense index of its tree
+//! (`TreeIndex`): positions found by sorting (vertex, position) pairs,
+//! parent positions, and a children CSR sorted by vertex id. The centroid
+//! search, the re-root, the subtree sizes and every subtree extraction run
+//! on it, so a call costs O(k log k) for a k-vertex tree.
 
 use crate::config::SepConfig;
-use std::collections::HashMap;
 
 /// A rooted tree over global vertex ids, stored as (member, parent) pairs
 /// (`parent == member` marks the root). Trees produced by `Split` may share
@@ -17,14 +22,6 @@ pub struct STree {
 }
 
 impl STree {
-    /// A single-vertex tree.
-    pub fn singleton(v: u32) -> Self {
-        STree {
-            root: v,
-            nodes: vec![(v, v)],
-        }
-    }
-
     /// Number of member vertices.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -35,9 +32,11 @@ impl STree {
         self.nodes.is_empty()
     }
 
-    /// Member vertex list.
-    pub fn members(&self) -> Vec<u32> {
-        self.nodes.iter().map(|&(v, _)| v).collect()
+    /// Member vertices, ascending.
+    pub fn sorted_members(&self) -> Vec<u32> {
+        let mut vs: Vec<u32> = self.nodes.iter().map(|&(v, _)| v).collect();
+        vs.sort_unstable();
+        vs
     }
 
     /// Total µ-measure of the members.
@@ -45,97 +44,163 @@ impl STree {
         self.nodes.iter().map(|&(v, _)| mu[v as usize]).sum()
     }
 
-    fn children_map(&self) -> HashMap<u32, Vec<u32>> {
-        let mut ch: HashMap<u32, Vec<u32>> = HashMap::new();
-        for &(v, p) in &self.nodes {
-            ch.entry(v).or_default();
-            if p != v {
-                ch.entry(p).or_default().push(v);
-            }
-        }
-        for list in ch.values_mut() {
-            list.sort_unstable();
-        }
-        ch
+    /// µ-centroid: every component of `T − c` has µ ≤ µ(T)/2. Deterministic
+    /// tie-break by vertex id.
+    pub fn centroid(&self, mu: &[u64]) -> u32 {
+        let idx = TreeIndex::new(self);
+        let c = idx.centroid(&idx.subtree_sizes(mu));
+        idx.vertex(c)
+    }
+}
+
+/// Dense index of one [`STree`] under some rooting. Positions are indices
+/// into the tree's `nodes`.
+struct TreeIndex {
+    /// `(vertex, position)`, ascending by vertex: the vertex → position map.
+    by_vertex: Vec<(u32, u32)>,
+    /// Vertex at each position.
+    vertex: Vec<u32>,
+    /// Parent position per position (the root is its own parent).
+    parent: Vec<u32>,
+    /// Root position.
+    root: u32,
+    /// Children CSR: the children of position `i` are
+    /// `child[child_start[i]..child_start[i + 1]]`, ascending by vertex id.
+    child_start: Vec<u32>,
+    child: Vec<u32>,
+}
+
+impl TreeIndex {
+    fn new(tree: &STree) -> Self {
+        let mut by_vertex: Vec<(u32, u32)> = tree
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &(v, _))| (v, i as u32))
+            .collect();
+        by_vertex.sort_unstable();
+        let mut idx = TreeIndex {
+            by_vertex,
+            vertex: tree.nodes.iter().map(|&(v, _)| v).collect(),
+            parent: Vec::new(),
+            root: 0,
+            child_start: Vec::new(),
+            child: Vec::new(),
+        };
+        idx.parent = tree.nodes.iter().map(|&(_, p)| idx.pos(p)).collect();
+        idx.root = idx.pos(tree.root);
+        idx.build_children();
+        idx
     }
 
-    /// µ-size of every member's subtree (iterative post-order).
-    pub fn subtree_sizes(&self, mu: &[u64]) -> HashMap<u32, u64> {
-        let ch = self.children_map();
-        let mut sizes: HashMap<u32, u64> = HashMap::new();
-        let mut stack = vec![(self.root, false)];
-        while let Some((v, expanded)) = stack.pop() {
-            if expanded {
-                let mut s = mu[v as usize];
-                for &c in &ch[&v] {
-                    s += sizes[&c];
-                }
-                sizes.insert(v, s);
-            } else {
-                stack.push((v, true));
-                for &c in &ch[&v] {
-                    stack.push((c, false));
-                }
+    fn vertex(&self, i: u32) -> u32 {
+        self.vertex[i as usize]
+    }
+
+    /// Position of member vertex `v`.
+    fn pos(&self, v: u32) -> u32 {
+        let k = self
+            .by_vertex
+            .binary_search_by_key(&v, |&(u, _)| u)
+            .expect("vertex is a tree member");
+        self.by_vertex[k].1
+    }
+
+    fn children(&self, i: u32) -> &[u32] {
+        let (a, b) = (
+            self.child_start[i as usize],
+            self.child_start[i as usize + 1],
+        );
+        &self.child[a as usize..b as usize]
+    }
+
+    /// Counting-sort the children lists from `parent`; walking positions in
+    /// vertex order leaves every list ascending by vertex id.
+    fn build_children(&mut self) {
+        let k = self.vertex.len();
+        let mut start = vec![0u32; k + 1];
+        for (i, &p) in self.parent.iter().enumerate() {
+            if p as usize != i {
+                start[p as usize + 1] += 1;
+            }
+        }
+        for i in 0..k {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut child = vec![0u32; start[k] as usize];
+        for &(_, i) in &self.by_vertex {
+            let p = self.parent[i as usize];
+            if p != i {
+                child[fill[p as usize] as usize] = i;
+                fill[p as usize] += 1;
+            }
+        }
+        self.child_start = start;
+        self.child = child;
+    }
+
+    /// Make position `c` the root by reversing the parent pointers on its
+    /// path to the old root.
+    fn reroot(&mut self, c: u32) {
+        let (mut prev, mut cur) = (c, c);
+        loop {
+            let next = std::mem::replace(&mut self.parent[cur as usize], prev);
+            if next == cur {
+                break;
+            }
+            (prev, cur) = (cur, next);
+        }
+        self.root = c;
+        self.build_children();
+    }
+
+    /// µ-size of every position's subtree under the current rooting.
+    fn subtree_sizes(&self, mu: &[u64]) -> Vec<u64> {
+        let mut order = Vec::with_capacity(self.vertex.len());
+        order.push(self.root);
+        let mut head = 0;
+        while head < order.len() {
+            let u = order[head];
+            head += 1;
+            order.extend_from_slice(self.children(u));
+        }
+        let mut sizes: Vec<u64> = self.vertex.iter().map(|&v| mu[v as usize]).collect();
+        for &u in order.iter().rev() {
+            let p = self.parent[u as usize];
+            if p != u {
+                sizes[p as usize] += sizes[u as usize];
             }
         }
         sizes
     }
 
-    /// µ-centroid: every component of `T − c` has µ ≤ µ(T)/2. Deterministic
-    /// tie-break by vertex id.
-    pub fn centroid(&self, mu: &[u64]) -> u32 {
-        let total = self.mu(mu);
-        let sizes = self.subtree_sizes(mu);
-        let ch = self.children_map();
-        let mut best = None;
-        for &(v, _) in &self.nodes {
-            let mut worst = total - sizes[&v];
-            for &c in &ch[&v] {
-                worst = worst.max(sizes[&c]);
-            }
-            if 2 * worst <= total {
-                best = match best {
-                    None => Some(v),
-                    Some(b) if v < b => Some(v),
-                    other => other,
-                };
-            }
-        }
-        best.expect("nonempty tree has a centroid")
+    /// The smallest-id position whose removal leaves components of µ at
+    /// most half the total (`sizes` from [`subtree_sizes`](Self::subtree_sizes)).
+    fn centroid(&self, sizes: &[u64]) -> u32 {
+        let total = sizes[self.root as usize];
+        self.by_vertex
+            .iter()
+            .map(|&(_, i)| i)
+            .find(|&i| {
+                let below = self.children(i).iter().map(|&c| sizes[c as usize]);
+                let worst = below.fold(total - sizes[i as usize], u64::max);
+                2 * worst <= total
+            })
+            .expect("nonempty tree has a centroid")
     }
 
-    /// The same tree re-rooted at `new_root`.
-    pub fn rerooted(&self, new_root: u32) -> STree {
-        let mut parent: HashMap<u32, u32> = self.nodes.iter().copied().collect();
-        assert!(parent.contains_key(&new_root), "new root not a member");
-        let mut path = vec![new_root];
-        let mut cur = new_root;
-        while parent[&cur] != cur {
-            cur = parent[&cur];
-            path.push(cur);
-        }
-        for w in path.windows(2) {
-            parent.insert(w[1], w[0]);
-        }
-        parent.insert(new_root, new_root);
-        STree {
-            root: new_root,
-            nodes: self.nodes.iter().map(|&(v, _)| (v, parent[&v])).collect(),
-        }
-    }
-
-    /// The subtree rooted at `v` as its own tree.
-    pub fn subtree(&self, v: u32) -> STree {
-        let ch = self.children_map();
-        let mut nodes = vec![(v, v)];
+    /// Append the subtree of position `v` to `out`, its root attached to
+    /// `attach` (pass the root's own vertex to keep it a root).
+    fn push_subtree(&self, v: u32, attach: u32, out: &mut Vec<(u32, u32)>) {
+        out.push((self.vertex(v), attach));
         let mut stack = vec![v];
         while let Some(u) = stack.pop() {
-            for &c in &ch[&u] {
-                nodes.push((c, u));
+            for &c in self.children(u) {
+                out.push((self.vertex(c), self.vertex(u)));
                 stack.push(c);
             }
         }
-        STree { root: v, nodes }
     }
 }
 
@@ -165,39 +230,43 @@ fn gt_hi(x: u64, mu_g: u64, t: u64, cfg: &SepConfig) -> bool {
 /// into sibling trees sharing the center as root.
 pub fn split_tree(tree: &STree, mu: &[u64], mu_g: u64, t: u64, cfg: &SepConfig) -> SplitOutcome {
     let mut out = SplitOutcome::default();
-    let total = tree.mu(mu);
-    let c = tree.centroid(mu);
-    let t1 = tree.rerooted(c);
-    let sizes = t1.subtree_sizes(mu);
-    let ch = t1.children_map()[&c].clone();
+    let mut idx = TreeIndex::new(tree);
+    let ci = idx.centroid(&idx.subtree_sizes(mu));
+    idx.reroot(ci);
+    let sizes = idx.subtree_sizes(mu);
+    let total = sizes[ci as usize];
+    let c = idx.vertex(ci);
 
-    let mut heavy: Vec<STree> = Vec::new();
-    let mut light: Vec<u32> = Vec::new();
-    for v in ch {
-        if ge_lo(sizes[&v], mu_g, t, cfg) {
-            heavy.push(t1.subtree(v));
-        } else {
-            light.push(v);
-        }
-    }
-    let heavy_mu: u64 = heavy.iter().map(|h| h.mu(mu)).sum();
+    let (heavy, light): (Vec<u32>, Vec<u32>) = idx
+        .children(ci)
+        .iter()
+        .partition(|&&v| ge_lo(sizes[v as usize], mu_g, t, cfg));
+    let heavy_mu: u64 = heavy.iter().map(|&v| sizes[v as usize]).sum();
     let tprime_mu = total - heavy_mu;
+    // A tree rooted at c made of the subtrees of `group`.
+    let rooted_at_c = |group: &[u32]| {
+        let mut nodes = vec![(c, c)];
+        for &v in group {
+            idx.push_subtree(v, c, &mut nodes);
+        }
+        STree { root: c, nodes }
+    };
+    let standalone = |v: u32| {
+        let mut nodes = Vec::new();
+        idx.push_subtree(v, idx.vertex(v), &mut nodes);
+        STree {
+            root: idx.vertex(v),
+            nodes,
+        }
+    };
 
     let mut produced: Vec<STree> = Vec::new();
     if !heavy.is_empty() && !ge_lo(tprime_mu, mu_g, t, cfg) {
         // Fig. 1(a): T' is light — merge it into the first heavy subtree.
-        let absorbed = heavy.remove(0);
-        let mut nodes: Vec<(u32, u32)> = vec![(c, c)];
-        for &v in &light {
-            for &(x, p) in &t1.subtree(v).nodes {
-                nodes.push((x, if x == v { c } else { p }));
-            }
-        }
-        for &(x, p) in &absorbed.nodes {
-            nodes.push((x, if x == absorbed.root { c } else { p }));
-        }
-        produced.push(STree { root: c, nodes });
-        produced.extend(heavy);
+        let mut merged: Vec<u32> = light;
+        merged.push(heavy[0]);
+        produced.push(rooted_at_c(&merged));
+        produced.extend(heavy[1..].iter().map(|&v| standalone(v)));
     } else {
         // Fig. 1(b): group consecutive light children into sibling trees
         // rooted at c, each of µ ∈ [µG/(12t), µG/(6t)) except possibly the
@@ -207,7 +276,7 @@ pub fn split_tree(tree: &STree, mu: &[u64], mu_g: u64, t: u64, cfg: &SepConfig) 
         let mut acc = 0u64;
         for &v in &light {
             cur.push(v);
-            acc += sizes[&v];
+            acc += sizes[v as usize];
             if ge_lo(acc, mu_g, t, cfg) {
                 groups.push(std::mem::take(&mut cur));
                 acc = 0;
@@ -221,20 +290,12 @@ pub fn split_tree(tree: &STree, mu: &[u64], mu_g: u64, t: u64, cfg: &SepConfig) 
                 None => groups.push(cur),
             }
         }
-        for group in groups {
-            let mut nodes: Vec<(u32, u32)> = vec![(c, c)];
-            for &v in &group {
-                for &(x, p) in &t1.subtree(v).nodes {
-                    nodes.push((x, if x == v { c } else { p }));
-                }
-            }
-            produced.push(STree { root: c, nodes });
+        // With no children at all, c alone is the whole tree.
+        if groups.is_empty() {
+            groups.push(Vec::new());
         }
-        if produced.is_empty() {
-            // c is the whole tree (no children at all).
-            produced.push(STree::singleton(c));
-        }
-        produced.extend(heavy);
+        produced.extend(groups.iter().map(|group| rooted_at_c(group)));
+        produced.extend(heavy.iter().map(|&v| standalone(v)));
     }
 
     for tr in produced {
@@ -306,23 +367,35 @@ mod tests {
 
     #[test]
     fn stree_basics() {
+        // Members listed out of vertex order: 0 ← 3 ← {1, 2}.
         let t = STree {
             root: 0,
-            nodes: vec![(0, 0), (1, 0), (2, 1), (3, 1)],
+            nodes: vec![(3, 0), (0, 0), (2, 3), (1, 3)],
         };
         let mu = vec![1u64; 4];
         assert_eq!(t.mu(&mu), 4);
-        let sizes = t.subtree_sizes(&mu);
-        assert_eq!(sizes[&1], 3);
-        assert_eq!(sizes[&0], 4);
-        assert_eq!(t.centroid(&mu), 1);
-        let r = t.rerooted(1);
-        assert_eq!(r.root, 1);
-        let sizes2 = r.subtree_sizes(&mu);
-        assert_eq!(sizes2[&0], 1);
-        assert_eq!(sizes2[&1], 4);
-        let sub = t.subtree(1);
-        assert_eq!(sub.len(), 3);
+        assert_eq!(t.sorted_members(), vec![0, 1, 2, 3]);
+        assert_eq!(t.centroid(&mu), 3);
+        let mut idx = TreeIndex::new(&t);
+        let sizes = idx.subtree_sizes(&mu);
+        assert_eq!(sizes[idx.pos(3) as usize], 3);
+        assert_eq!(sizes[idx.pos(0) as usize], 4);
+        let kids: Vec<u32> = idx
+            .children(idx.pos(3))
+            .iter()
+            .map(|&i| idx.vertex(i))
+            .collect();
+        assert_eq!(kids, vec![1, 2], "children ascend by vertex id");
+        idx.reroot(idx.pos(3));
+        let sizes2 = idx.subtree_sizes(&mu);
+        assert_eq!(sizes2[idx.pos(0) as usize], 1);
+        assert_eq!(sizes2[idx.pos(3) as usize], 4);
+        let mut sub = Vec::new();
+        idx.push_subtree(idx.pos(0), 3, &mut sub);
+        assert_eq!(sub, vec![(0, 3)]);
+        let mut all = Vec::new();
+        idx.push_subtree(idx.pos(3), 3, &mut all);
+        assert_eq!(all, vec![(3, 3), (0, 3), (1, 3), (2, 3)]);
     }
 
     /// The paper's invariant: every split tree has µ ≤ µ(G)/(4t) (finished
@@ -407,7 +480,11 @@ mod tests {
 
     #[test]
     fn singleton_finishes() {
-        let trees = split_to_completion(STree::singleton(0), &[1], 1, 2, &cfg());
+        let single = STree {
+            root: 0,
+            nodes: vec![(0, 0)],
+        };
+        let trees = split_to_completion(single, &[1], 1, 2, &cfg());
         assert_eq!(trees.len(), 1);
         assert_eq!(trees[0].len(), 1);
     }
