@@ -41,7 +41,9 @@ pub fn apsp_pipelined_distributed(net: &mut Network) -> Result<(Vec<Vec<u32>>, u
         if pending.iter().all(|&p| p == 0) {
             break;
         }
-        assert!(steps < guard, "apsp exceeded {guard} supersteps");
+        if steps == guard {
+            return Err(CongestError::SuperstepBudget { limit: guard });
+        }
         steps += 1;
         net.superstep(
             &mut states,

@@ -58,24 +58,25 @@ pub fn bellman_ford_distributed(
     let best_out_ref = &best_out;
     net.run_until_quiet(
         &mut states,
-        |u, s: &BfState| {
+        |u, s, out| {
             if s.fresh {
-                best_out_ref[u as usize]
-                    .iter()
-                    .map(|&(v, w)| (v, dist_add(s.dist, w)))
-                    .collect()
-            } else {
-                Vec::new()
+                out.extend(
+                    best_out_ref[u as usize]
+                        .iter()
+                        .map(|&(v, w)| (v, dist_add(s.dist, w))),
+                );
+                s.fresh = false;
             }
+            false
         },
         |_v, s, inbox| {
-            s.fresh = false;
             for (_src, d) in inbox {
                 if d < s.dist {
                     s.dist = d;
                     s.fresh = true;
                 }
             }
+            s.fresh
         },
         (n as u64 + 2) * (n as u64 + 2),
     )?;

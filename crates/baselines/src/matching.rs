@@ -132,25 +132,27 @@ pub fn matching_distributed_baseline(
         let side_ref = side;
         net.run_until_quiet(
             &mut states,
-            |u, s: &MState| {
-                if !s.fresh {
-                    return Vec::new();
+            |u, s, out| {
+                if !std::mem::take(&mut s.fresh) {
+                    return false;
                 }
                 if side_ref[u as usize] {
                     // Left: probe all neighbours except the mate.
-                    g.neighbors(u)
-                        .iter()
-                        .copied()
-                        .filter(|&r| s.mate != Some(r))
-                        .map(|r| (r, 0u32))
-                        .collect()
-                } else {
+                    let mate = s.mate;
+                    out.extend(
+                        g.neighbors(u)
+                            .iter()
+                            .copied()
+                            .filter(|&r| mate != Some(r))
+                            .map(|r| (r, 0u32)),
+                    );
+                } else if let Some(l) = s.mate {
                     // Right: matched rights forward to their mate.
-                    s.mate.map(|l| (l, 1u32)).into_iter().collect()
+                    out.send(l, 1u32);
                 }
+                false
             },
             |v, s, inbox| {
-                s.fresh = false;
                 for (src, _tag) in inbox {
                     if side_ref[v as usize] {
                         // Left reached through its matched right neighbour.
@@ -172,6 +174,7 @@ pub fn matching_distributed_baseline(
                         }
                     }
                 }
+                s.fresh
             },
             4 * n as u64 + 16,
         )?;

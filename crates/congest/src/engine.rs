@@ -5,28 +5,40 @@
 //! slots, then counting-sorts it into a second contiguous delivery buffer
 //! indexed by destination. All index/accounting scratch (slot loads, the
 //! touched-slot list, inbox offsets) lives in a reusable [`MailboxArena`],
-//! so after warm-up a superstep performs no per-node allocations — the only
-//! per-call allocations are the two flat message buffers, and quiescence
-//! loops ([`Network::run_until_quiet`]) reuse even those across supersteps.
+//! so after warm-up a superstep performs no per-node allocations.
 //! Accounting is *sparse*: only slots that actually carried words are
-//! visited, so an almost-quiet superstep costs O(active) rather than O(m).
+//! visited, so an almost-quiet superstep never sweeps the m edge slots.
 //!
-//! ## Scoped supersteps
+//! ## Frontier quiescence loops
 //!
-//! A full superstep still evaluates `send` for all `n` nodes and lays out
-//! `n` inbox windows, so a protocol that only involves a small vertex set
-//! (one recursion subproblem, one part collection) pays O(n) per superstep
-//! regardless of how quiet the network is. The *scoped* entry points
-//! ([`superstep_on`](Network::superstep_on),
-//! [`run_until_quiet_on`](Network::run_until_quiet_on)) take a sorted
-//! active-node list and positional states (`states[i]` belongs to
-//! `active[i]`): `send`/`recv` run only over the active set and every piece
-//! of delivery bookkeeping is reset sparsely, so a scoped superstep costs
-//! O(active + messages). The charged metrics are **identical** to running
-//! the full superstep with `send` returning nothing outside the active set
-//! — the staged message multiset, and hence every counter, is the same.
-//! Messages must stay inside the active set
-//! ([`CongestError::InactiveRecipient`] otherwise).
+//! [`run_until_quiet`](Network::run_until_quiet) (over all of V) and
+//! [`run_until_quiet_on`](Network::run_until_quiet_on) (over a sorted
+//! active list, with positional states) share one loop that visits only
+//! the *frontier*: the nodes that have something to send plus the nodes
+//! that just received something. `send(v, &mut state, &mut outbox)` runs
+//! on every active node in the first superstep and afterwards only on
+//! *armed* nodes; `recv(v, &mut state, inbox)` runs only on non-empty
+//! inboxes. Each returns whether the node is armed for the next
+//! superstep. The active set and its id → position map are stamped once
+//! per loop, per-destination counts are reset only where something
+//! arrived, and the message buffers are reused, so a superstep costs
+//! O(senders + receivers + messages) however large the active set is.
+//! Armed nodes run in ascending id order, so the stage is source-ascending
+//! and every inbox is ordered by source, exactly as if every node had been
+//! visited: the charged metrics are those of the full scan.
+//!
+//! ## Single supersteps
+//!
+//! [`superstep`](Network::superstep) evaluates a pure `send` on all n nodes
+//! and `recv` on every inbox window, empty or not; the scoped
+//! [`superstep_on`](Network::superstep_on) does the same over a sorted
+//! active list with positional states (`states[i]` belongs to
+//! `active[i]`), resetting its bookkeeping over the active set only, so it
+//! costs O(active + messages). Protocols that need a tick on every node
+//! every superstep loop over these. In every scoped entry point messages
+//! must stay inside the active set ([`CongestError::InactiveRecipient`]
+//! otherwise), and the active list itself is checked: not strictly
+//! ascending or naming a vertex ≥ n is a typed error with nothing charged.
 
 use crate::error::CongestError;
 use crate::metrics::{Metrics, PhaseSnapshot};
@@ -132,6 +144,30 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
 
 impl<'a, M> ExactSizeIterator for InboxIter<'a, M> {}
 
+/// The sink a quiescence loop's `send` writes one node's messages into:
+/// `(neighbor, payload)` pairs, appended to the superstep's flat stage in
+/// call order.
+pub struct Outbox<'a, M> {
+    src: u32,
+    stage: &'a mut Vec<(u32, u32, M)>,
+}
+
+impl<M> Outbox<'_, M> {
+    /// Send `msg` to neighbour `to`.
+    #[inline]
+    pub fn send(&mut self, to: u32, msg: M) {
+        self.stage.push((self.src, to, msg));
+    }
+}
+
+impl<M> Extend<(u32, M)> for Outbox<'_, M> {
+    fn extend<I: IntoIterator<Item = (u32, M)>>(&mut self, msgs: I) {
+        let src = self.src;
+        self.stage
+            .extend(msgs.into_iter().map(|(to, msg)| (src, to, msg)));
+    }
+}
+
 /// Reusable accounting scratch: zeroed between supersteps, never shrunk.
 #[derive(Default)]
 struct MailboxArena {
@@ -141,13 +177,17 @@ struct MailboxArena {
     /// The slots dirtied this superstep (sparse reset + sparse max/sum).
     touched: Vec<u32>,
     /// Per-node inbox cursor (counts, then scatter positions). The dense
-    /// path refills it whole; the scoped path touches active entries only,
-    /// resetting them on entry (stale entries outside an active set are
-    /// never read).
+    /// path refills it whole; the scoped paths zero the active entries on
+    /// entry (stale entries outside an active set are never read), and a
+    /// quiescence loop re-zeroes the entries that received after every
+    /// superstep.
     cursor: Vec<usize>,
-    /// Per-node inbox offsets into the delivery buffer (`n + 1` entries for
-    /// the dense path; scatter positions per active node for the scoped
-    /// path).
+    /// The distinct destinations of the current superstep's messages, in
+    /// first-arrival order (filled while charging).
+    receivers: Vec<u32>,
+    /// Per-node inbox offsets into the delivery buffer for the dense path
+    /// (`n + 1` entries); the id → position map of a stamped active set
+    /// for the scoped paths.
     inbox_off: Vec<usize>,
     /// Membership stamp of the current scoped superstep's active set:
     /// `active_stamp[v] == active_epoch` iff `v` is active. Bumping the
@@ -155,6 +195,30 @@ struct MailboxArena {
     active_stamp: Vec<u64>,
     /// Generation counter for `active_stamp`.
     active_epoch: u64,
+}
+
+impl MailboxArena {
+    /// Counting-sort a charged stage into `deliv` over the superstep's
+    /// receivers only, laying out their inbox windows in ascending id
+    /// order. The stage is source-ascending and the scatter is stable, so
+    /// every window is ordered by source. Afterwards `cursor[v]` is the end
+    /// of `v`'s window (each window starts where the previous one ends).
+    fn scatter<M>(&mut self, stage: &mut Vec<(u32, u32, M)>, deliv: &mut Vec<Option<(u32, M)>>) {
+        self.receivers.sort_unstable();
+        let mut off = 0;
+        for &v in &self.receivers {
+            let count = self.cursor[v as usize];
+            self.cursor[v as usize] = off;
+            off += count;
+        }
+        deliv.clear();
+        deliv.resize_with(stage.len(), || None);
+        for (u, v, m) in stage.drain(..) {
+            let p = self.cursor[v as usize];
+            self.cursor[v as usize] += 1;
+            deliv[p] = Some((u, m));
+        }
+    }
 }
 
 /// A simulated CONGEST network over a fixed communication graph.
@@ -280,6 +344,7 @@ impl Network {
             slot_words: vec![0u64; projection.n_physical_edges() * 2],
             touched: Vec::new(),
             cursor: vec![0usize; n],
+            receivers: Vec::new(),
             inbox_off: vec![0usize; n + 1],
             active_stamp: vec![0u64; n],
             active_epoch: 0,
@@ -402,35 +467,13 @@ impl Network {
         }
     }
 
-    /// Scoped phase 1: evaluate `send` over the active nodes only
-    /// (`states[i]` belongs to `active[i]`). The active list is sorted, so
-    /// the stage comes out source-ascending exactly like the dense path.
-    /// Scoped supersteps are small by construction, so this path stays
-    /// sequential — fan-out parallelism belongs to the caller's level, not
-    /// to a near-quiet superstep.
-    fn stage_sends_on<S, M>(
-        &self,
-        active: &[u32],
-        states: &[S],
-        send: &(impl Fn(u32, &S) -> Vec<(u32, M)> + Sync),
-        stage: &mut Vec<(u32, u32, M)>,
-    ) where
-        M: WireMsg,
-    {
-        stage.clear();
-        for (i, &u) in active.iter().enumerate() {
-            for (v, m) in send(u, &states[i]) {
-                stage.push((u, v, m));
-            }
-        }
-    }
-
     /// Phase 2 (shared): validate and charge the staged messages, count
     /// them per destination into `arena.cursor` (which the caller must have
-    /// reset for every possible destination), and record the superstep in
-    /// the metrics. When `scoped` is set, destinations must carry the
-    /// current active stamp. On error the slot accounting is rolled back
-    /// and nothing is charged.
+    /// reset for every possible destination), list the distinct
+    /// destinations in `arena.receivers`, and record the superstep in the
+    /// metrics. When `scoped` is set, destinations must carry the current
+    /// active stamp. On error the slot accounting is rolled back and
+    /// nothing is charged.
     fn charge_stage<M: WireMsg>(
         &mut self,
         stage: &[(u32, u32, M)],
@@ -451,6 +494,7 @@ impl Network {
         for s in arena.touched.drain(..) {
             arena.slot_words[s as usize] = 0;
         }
+        arena.receivers.clear();
         let mut failure = None;
         for &(u, v, ref m) in stage.iter() {
             let lo = adj_off[u as usize] as usize;
@@ -477,6 +521,9 @@ impl Network {
                     arena.touched.push(slot);
                 }
                 arena.slot_words[slot as usize] += w;
+            }
+            if arena.cursor[v as usize] == 0 {
+                arena.receivers.push(v);
             }
             arena.cursor[v as usize] += 1;
         }
@@ -592,62 +639,25 @@ impl Network {
         Ok(rounds)
     }
 
-    /// Scoped phases 2–4: all bookkeeping is reset and laid out over the
-    /// active list only, so the cost is O(active + messages) instead of
-    /// O(n). Inbox windows appear in active order (source-ascending within
-    /// each window, as in the dense path).
-    fn deliver_staged_on<S, M>(
-        &mut self,
-        active: &[u32],
-        states: &mut [S],
-        stage: &mut Vec<(u32, u32, M)>,
-        deliv: &mut Vec<Option<(u32, M)>>,
-        recv: &(impl Fn(u32, &mut S, Inbox<'_, M>) + Sync),
-    ) -> Result<u64, CongestError>
-    where
-        M: WireMsg,
-    {
-        // Stamp the active set (O(1) clear via the epoch bump) and reset
-        // this set's per-destination counts. A whole-graph active set (a
-        // scoped protocol that happens to span everything, e.g. a top-level
-        // flow) skips the stamping: every recipient is trivially active and
-        // the dense vectorized reset beats n scattered writes.
-        let full = active.len() == self.g.n();
-        if full {
-            self.arena.cursor[..active.len()].fill(0);
-        } else {
-            self.arena.active_epoch += 1;
-            for &v in active {
-                self.arena.active_stamp[v as usize] = self.arena.active_epoch;
-                self.arena.cursor[v as usize] = 0;
+    /// Prepare the per-destination bookkeeping for scoped supersteps over
+    /// `active` (`None` = all of V): zero the inbox counts and, for a
+    /// proper subset, stamp the set (an O(1) clear via the epoch bump) and
+    /// its id → position map into `inbox_off`. Callers pass `None` for a
+    /// list naming every node: every recipient is then trivially active,
+    /// and the dense reset beats n scattered writes.
+    fn enter_scope(&mut self, active: Option<&[u32]>) {
+        let arena = &mut self.arena;
+        match active {
+            None => arena.cursor[..self.g.n()].fill(0),
+            Some(list) => {
+                arena.active_epoch += 1;
+                for (i, &v) in list.iter().enumerate() {
+                    arena.active_stamp[v as usize] = arena.active_epoch;
+                    arena.inbox_off[v as usize] = i;
+                    arena.cursor[v as usize] = 0;
+                }
             }
         }
-        let rounds = self.charge_stage(stage, !full)?;
-        let arena = &mut self.arena;
-
-        // Scatter positions per active node, in active order.
-        let mut off = 0usize;
-        for &v in active {
-            arena.inbox_off[v as usize] = off;
-            off += arena.cursor[v as usize];
-        }
-        deliv.clear();
-        deliv.resize_with(stage.len(), || None);
-        for (u, v, m) in stage.drain(..) {
-            let p = arena.inbox_off[v as usize];
-            arena.inbox_off[v as usize] += 1;
-            deliv[p] = Some((u, m));
-        }
-
-        // Deliver sequentially over the active windows (they are laid out
-        // contiguously in active order).
-        let mut rest = &mut deliv[..];
-        for (i, &v) in active.iter().enumerate() {
-            let (window, r) = rest.split_at_mut(arena.cursor[v as usize]);
-            rest = r;
-            recv(v, &mut states[i], Inbox { slots: window });
-        }
-        Ok(rounds)
     }
 
     /// Execute one superstep.
@@ -688,51 +698,101 @@ impl Network {
     /// a protocol over k nodes allocates k states, not n. `send`/`recv` are
     /// evaluated for active nodes only and every message must target an
     /// active node. Charged exactly like [`superstep`](Network::superstep)
-    /// with `send` empty outside the active set.
+    /// with `send` empty outside the active set. An active list that is not
+    /// strictly ascending or names a vertex ≥ n is rejected before anything
+    /// runs ([`CongestError::UnsortedActiveList`],
+    /// [`CongestError::ActiveOutOfRange`]).
     pub fn superstep_on<S, M>(
         &mut self,
         active: &[u32],
         states: &mut [S],
-        send: impl Fn(u32, &S) -> Vec<(u32, M)> + Sync,
-        recv: impl Fn(u32, &mut S, Inbox<'_, M>) + Sync,
+        send: impl Fn(u32, &S) -> Vec<(u32, M)>,
+        mut recv: impl FnMut(u32, &mut S, Inbox<'_, M>),
     ) -> Result<u64, CongestError>
     where
-        S: Send + Sync,
         M: WireMsg,
     {
+        self.check_active(active, states.len())?;
+        let scope = (active.len() < self.g.n()).then_some(active);
+        self.enter_scope(scope);
+        // The active list is sorted, so the stage is source-ascending.
+        let mut stage = Vec::new();
+        for (i, &u) in active.iter().enumerate() {
+            stage.extend(send(u, &states[i]).into_iter().map(|(v, m)| (u, v, m)));
+        }
+        let rounds = self.charge_stage(&stage, scope.is_some())?;
+        let mut deliv = Vec::new();
+        self.arena.scatter(&mut stage, &mut deliv);
+        let MailboxArena {
+            receivers, cursor, ..
+        } = &self.arena;
+        // Every active node gets its window, in active order; nodes that
+        // received nothing get an empty one.
+        let mut rest = &mut deliv[..];
+        let mut start = 0;
+        let mut receivers = receivers.iter().peekable();
+        for (i, &v) in active.iter().enumerate() {
+            let mut len = 0;
+            if receivers.next_if_eq(&&v).is_some() {
+                len = cursor[v as usize] - start;
+                start = cursor[v as usize];
+            }
+            let (window, r) = rest.split_at_mut(len);
+            rest = r;
+            recv(v, &mut states[i], Inbox { slots: window });
+        }
+        Ok(rounds)
+    }
+
+    /// Validate a caller-supplied active list: strictly ascending, every
+    /// vertex < n, one positional state per entry.
+    fn check_active(&self, active: &[u32], n_states: usize) -> Result<(), CongestError> {
         assert_eq!(
-            states.len(),
+            n_states,
             active.len(),
             "positional states must match the active list"
         );
-        debug_assert!(
-            active.windows(2).all(|w| w[0] < w[1]),
-            "active list must be sorted+unique"
-        );
-        debug_assert!(active.iter().all(|&v| (v as usize) < self.g.n()));
-        let mut stage = Vec::new();
-        let mut deliv = Vec::new();
-        self.stage_sends_on(active, states, &send, &mut stage);
-        self.deliver_staged_on(active, states, &mut stage, &mut deliv, &recv)
+        if let Some(i) = active.windows(2).position(|w| w[0] >= w[1]) {
+            return Err(CongestError::UnsortedActiveList { position: i + 1 });
+        }
+        match active.last() {
+            Some(&v) if v as usize >= self.g.n() => Err(CongestError::ActiveOutOfRange {
+                vertex: v,
+                n: self.g.n(),
+            }),
+            _ => Ok(()),
+        }
     }
 
-    /// Run supersteps until `send` produces no messages anywhere (a
-    /// quiescence-driven loop, e.g. flooding). The final silent superstep is
-    /// *not* charged. Returns the number of productive supersteps.
+    /// Run supersteps over all of V until a superstep stages no message (a
+    /// quiescence-driven protocol, e.g. flooding); `states[v]` belongs to
+    /// node `v`. That final silent superstep is *not* charged. Returns the
+    /// number of productive supersteps.
     ///
-    /// `send` must be a pure function of the state. The staged messages of
-    /// the quiescence probe are delivered directly (send is evaluated once
-    /// per superstep), and the flat message buffers are reused across the
-    /// whole loop.
+    /// * `send(v, &mut state, &mut outbox)` emits node `v`'s messages into
+    ///   `outbox` and returns whether `v` stays armed. It runs on every node
+    ///   in the first superstep and afterwards only on armed nodes, in
+    ///   ascending id order.
+    /// * `recv(v, &mut state, inbox)` runs only on nodes whose inbox is
+    ///   non-empty (messages ordered by source id) and returns whether `v`
+    ///   is armed for the next superstep.
+    ///
+    /// A node that is neither armed nor receiving is not visited, so a
+    /// superstep costs O(senders + receivers + messages). A protocol must
+    /// therefore arm every node that will send: whatever `send` would emit
+    /// from an unarmed node is never asked for.
+    ///
+    /// Needing more than `max_supersteps` productive supersteps returns
+    /// [`CongestError::SuperstepBudget`]; the supersteps already run stay
+    /// charged.
     pub fn run_until_quiet<S, M>(
         &mut self,
         states: &mut [S],
-        send: impl Fn(u32, &S) -> Vec<(u32, M)> + Sync,
-        recv: impl Fn(u32, &mut S, Inbox<'_, M>) + Sync,
+        send: impl FnMut(u32, &mut S, &mut Outbox<'_, M>) -> bool,
+        recv: impl FnMut(u32, &mut S, Inbox<'_, M>) -> bool,
         max_supersteps: u64,
     ) -> Result<u64, CongestError>
     where
-        S: Send + Sync,
         M: WireMsg,
     {
         assert_eq!(
@@ -740,61 +800,100 @@ impl Network {
             self.g.n(),
             "state vector must match node count"
         );
-        let mut steps = 0;
-        let mut stage = Vec::new();
-        let mut deliv = Vec::new();
-        loop {
-            assert!(
-                steps < max_supersteps,
-                "run_until_quiet exceeded {max_supersteps} supersteps"
-            );
-            self.stage_sends(states, &send, &mut stage);
-            if stage.is_empty() {
-                return Ok(steps);
-            }
-            self.deliver_staged(states, &mut stage, &mut deliv, &recv)?;
-            steps += 1;
-        }
+        self.frontier_loop(None, states, send, recv, max_supersteps)
     }
 
     /// [`run_until_quiet`](Network::run_until_quiet) scoped to `active`
     /// (sorted, unique) with positional states — the quiescence loop for
-    /// subproblem-local floods. Cost per superstep is O(active + messages).
+    /// subproblem-local protocols. Every message must target an active
+    /// node, and the active list is validated as in
+    /// [`superstep_on`](Network::superstep_on).
     pub fn run_until_quiet_on<S, M>(
         &mut self,
         active: &[u32],
         states: &mut [S],
-        send: impl Fn(u32, &S) -> Vec<(u32, M)> + Sync,
-        recv: impl Fn(u32, &mut S, Inbox<'_, M>) + Sync,
+        send: impl FnMut(u32, &mut S, &mut Outbox<'_, M>) -> bool,
+        recv: impl FnMut(u32, &mut S, Inbox<'_, M>) -> bool,
         max_supersteps: u64,
     ) -> Result<u64, CongestError>
     where
-        S: Send + Sync,
         M: WireMsg,
     {
-        assert_eq!(
-            states.len(),
-            active.len(),
-            "positional states must match the active list"
-        );
-        debug_assert!(
-            active.windows(2).all(|w| w[0] < w[1]),
-            "active list must be sorted+unique"
-        );
+        self.check_active(active, states.len())?;
+        self.frontier_loop(Some(active), states, send, recv, max_supersteps)
+    }
+
+    /// The one quiescence loop body. `active == None` (or a list naming
+    /// every node) means all of V, with states indexed by node id;
+    /// otherwise states are positional and the active set plus its
+    /// id → position map (`arena.inbox_off`) are stamped once up front.
+    fn frontier_loop<S, M>(
+        &mut self,
+        active: Option<&[u32]>,
+        states: &mut [S],
+        mut send: impl FnMut(u32, &mut S, &mut Outbox<'_, M>) -> bool,
+        mut recv: impl FnMut(u32, &mut S, Inbox<'_, M>) -> bool,
+        max_supersteps: u64,
+    ) -> Result<u64, CongestError>
+    where
+        M: WireMsg,
+    {
+        let n = self.g.n();
+        let active = active.filter(|list| list.len() < n);
+        self.enter_scope(active);
+        let id_of = |i: u32| active.map_or(i, |list| list[i as usize]);
+        // Positions of the nodes `send` runs on: everyone first, then the
+        // armed ones.
+        let mut woken: Vec<u32> = (0..states.len() as u32).collect();
+        let mut armed: Vec<u32> = Vec::new();
+        let mut stage: Vec<(u32, u32, M)> = Vec::new();
+        let mut deliv: Vec<Option<(u32, M)>> = Vec::new();
         let mut steps = 0;
-        let mut stage = Vec::new();
-        let mut deliv = Vec::new();
         loop {
-            assert!(
-                steps < max_supersteps,
-                "run_until_quiet_on exceeded {max_supersteps} supersteps"
-            );
-            self.stage_sends_on(active, states, &send, &mut stage);
+            for &i in &woken {
+                let src = id_of(i);
+                let mut out = Outbox {
+                    src,
+                    stage: &mut stage,
+                };
+                if send(src, &mut states[i as usize], &mut out) {
+                    armed.push(i);
+                }
+            }
             if stage.is_empty() {
                 return Ok(steps);
             }
-            self.deliver_staged_on(active, states, &mut stage, &mut deliv, &recv)?;
+            if steps == max_supersteps {
+                return Err(CongestError::SuperstepBudget {
+                    limit: max_supersteps,
+                });
+            }
+            self.charge_stage(&stage, active.is_some())?;
             steps += 1;
+
+            // Deliver to the receivers only: each window ends at the
+            // receiver's advanced cursor, which is re-zeroed for the next
+            // superstep.
+            let arena = &mut self.arena;
+            arena.scatter(&mut stage, &mut deliv);
+            let mut rest = &mut deliv[..];
+            let mut start = 0;
+            for &v in &arena.receivers {
+                let end = std::mem::take(&mut arena.cursor[v as usize]);
+                let (window, r) = rest.split_at_mut(end - start);
+                rest = r;
+                start = end;
+                let i = active.map_or(v as usize, |_| arena.inbox_off[v as usize]);
+                if recv(v, &mut states[i], Inbox { slots: window }) {
+                    armed.push(i as u32);
+                }
+            }
+            // Two ascending runs (armed by `send`, then by `recv`): the
+            // run-detecting stable sort merges them in linear time.
+            armed.sort();
+            armed.dedup();
+            std::mem::swap(&mut woken, &mut armed);
+            armed.clear();
         }
     }
 }
@@ -803,31 +902,108 @@ impl Network {
 mod tests {
     use super::*;
     use twgraph::gen::{gnp, path};
+    use twgraph::UGraph;
 
-    #[derive(Clone, Default)]
+    #[derive(Clone, Debug, Default, PartialEq)]
     struct FloodState {
         dist: Option<u32>,
         fresh: bool,
     }
 
-    /// Distributed BFS flood; returns (dists, supersteps).
-    fn flood(net: &mut Network, src: u32) -> Vec<Option<u32>> {
-        let n = net.n();
+    /// BFS flood states with every vertex of `sources` at distance 0.
+    fn flood_states(n: usize, sources: &[u32]) -> Vec<FloodState> {
         let mut states = vec![FloodState::default(); n];
-        states[src as usize] = FloodState {
-            dist: Some(0),
-            fresh: true,
-        };
-        let g = net.graph().clone();
-        net.run_until_quiet(
+        for &s in sources {
+            states[s as usize] = FloodState {
+                dist: Some(0),
+                fresh: true,
+            };
+        }
+        states
+    }
+
+    /// Frontier `send` of the flood: a fresh node floods its neighbours in
+    /// `keep` and clears `fresh`; it never stays armed.
+    fn flood_send<'g>(
+        g: &'g UGraph,
+        keep: impl Fn(u32) -> bool + 'g,
+    ) -> impl FnMut(u32, &mut FloodState, &mut Outbox<'_, u32>) -> bool + 'g {
+        move |u, s, out| {
+            if s.fresh {
+                let d = s.dist.unwrap();
+                out.extend(
+                    g.neighbors(u)
+                        .iter()
+                        .copied()
+                        .filter(|&v| keep(v))
+                        .map(|v| (v, d + 1)),
+                );
+                s.fresh = false;
+            }
+            false
+        }
+    }
+
+    /// Frontier `recv` of the flood: an improved distance re-arms the node.
+    fn flood_recv(_v: u32, s: &mut FloodState, inbox: Inbox<'_, u32>) -> bool {
+        for (_src, d) in inbox {
+            if s.dist.map_or(true, |cur| d < cur) {
+                s.dist = Some(d);
+                s.fresh = true;
+            }
+        }
+        s.fresh
+    }
+
+    /// Distributed BFS flood through the frontier loop; returns the dists.
+    fn flood(net: &mut Network, src: u32) -> Vec<Option<u32>> {
+        let g = net.graph_handle();
+        let mut states = flood_states(net.n(), &[src]);
+        net.run_until_quiet(&mut states, flood_send(&g, |_| true), flood_recv, 10_000)
+            .unwrap();
+        states.into_iter().map(|s| s.dist).collect()
+    }
+
+    /// Full-scan reference for the frontier loop, written over `superstep`:
+    /// every superstep evaluates the pure `send` on all n nodes and `recv`
+    /// on every inbox, and the loop stops (uncharged) once no node would
+    /// send — the quiescence loop as it was before frontiers.
+    fn full_scan_quiet<S: Send + Sync, M: WireMsg>(
+        net: &mut Network,
+        states: &mut [S],
+        send: impl Fn(u32, &S) -> Vec<(u32, M)> + Sync,
+        recv: impl Fn(u32, &mut S, Inbox<'_, M>) + Sync,
+    ) -> u64 {
+        let mut steps = 0;
+        while (0..states.len()).any(|u| !send(u as u32, &states[u]).is_empty()) {
+            net.superstep(states, &send, &recv).unwrap();
+            steps += 1;
+        }
+        steps
+    }
+
+    /// The BFS flood of [`flood_send`]/[`flood_recv`] as a pure full-scan
+    /// protocol (sends only to neighbours in `keep`); returns the states
+    /// and the superstep count.
+    fn full_scan_flood(
+        net: &mut Network,
+        sources: &[u32],
+        keep: impl Fn(u32) -> bool + Sync,
+    ) -> (Vec<FloodState>, u64) {
+        let g = net.graph_handle();
+        let mut states = flood_states(net.n(), sources);
+        let steps = full_scan_quiet(
+            net,
             &mut states,
-            |u, s: &FloodState| {
-                if s.fresh {
-                    let d = s.dist.unwrap();
-                    g.neighbors(u).iter().map(|&v| (v, d + 1)).collect()
-                } else {
-                    Vec::new()
-                }
+            |u, s: &FloodState| match (s.fresh && keep(u), s.dist) {
+                (true, Some(d)) => g
+                    .neighbors(u)
+                    .iter()
+                    .copied()
+                    .filter(|&v| keep(v))
+                    .map(|v| (v, d + 1))
+                    .collect(),
+                _ => Vec::new(),
             },
             |_v, s, inbox| {
                 s.fresh = false;
@@ -838,10 +1014,8 @@ mod tests {
                     }
                 }
             },
-            10_000,
-        )
-        .unwrap();
-        states.into_iter().map(|s| s.dist).collect()
+        );
+        (states, steps)
     }
 
     #[test]
@@ -1087,10 +1261,10 @@ mod tests {
             ..Default::default()
         };
         let mut net = Network::new(g, cfg);
-        let dists = flood(&mut net, 0);
-        assert_eq!(dists[1], Some(1));
-        assert_eq!(dists[2], Some(2));
-        assert!(dists[3..].iter().all(Option::is_none));
+        let (states, _) = full_scan_flood(&mut net, &[0], |_| true);
+        assert_eq!(states[1].dist, Some(1));
+        assert_eq!(states[2].dist, Some(2));
+        assert!(states[3..].iter().all(|s| s.dist.is_none()));
     }
 
     #[test]
@@ -1102,8 +1276,8 @@ mod tests {
                 ..Default::default()
             };
             let mut net = Network::new(g.clone(), cfg);
-            let dists = flood(&mut net, 0);
-            (dists, *net.metrics())
+            let (states, _) = full_scan_flood(&mut net, &[0], |_| true);
+            (states, *net.metrics())
         };
         let (d_seq, m_seq) = run(usize::MAX);
         let (d_par, m_par) = run(1);
@@ -1169,39 +1343,17 @@ mod tests {
 
     /// Scoped flood over a sub-path, positional states.
     fn scoped_flood(net: &mut Network, active: &[u32], src: u32) -> Vec<Option<u32>> {
-        let g = net.graph().clone();
-        let pos_of = |v: u32| active.binary_search(&v).unwrap();
+        let g = net.graph_handle();
         let mut states = vec![FloodState::default(); active.len()];
-        states[pos_of(src)] = FloodState {
+        states[active.binary_search(&src).unwrap()] = FloodState {
             dist: Some(0),
             fresh: true,
         };
-        let active_ref = active;
         net.run_until_quiet_on(
             active,
             &mut states,
-            |u, s: &FloodState| {
-                if s.fresh {
-                    let d = s.dist.unwrap();
-                    g.neighbors(u)
-                        .iter()
-                        .copied()
-                        .filter(|v| active_ref.binary_search(v).is_ok())
-                        .map(|v| (v, d + 1))
-                        .collect()
-                } else {
-                    Vec::new()
-                }
-            },
-            |_v, s, inbox| {
-                s.fresh = false;
-                for (_src, d) in inbox {
-                    if s.dist.map_or(true, |cur| d < cur) {
-                        s.dist = Some(d);
-                        s.fresh = true;
-                    }
-                }
-            },
+            flood_send(&g, |v| active.binary_search(&v).is_ok()),
+            flood_recv,
             10_000,
         )
         .unwrap();
@@ -1210,55 +1362,195 @@ mod tests {
 
     #[test]
     fn scoped_superstep_charges_like_dense() {
-        // The same restricted flood, dense (send empty outside the set)
-        // versus scoped: identical metrics, identical results.
+        // The same restricted flood, full scan over all n nodes (send empty
+        // outside the set) versus the scoped frontier loop: identical
+        // metrics, identical results.
         let g = path(64);
         let active: Vec<u32> = (8..24).collect();
-
         let mut dense = Network::new(g.clone(), NetworkConfig::default());
-        let mut states = vec![FloodState::default(); 64];
-        states[8] = FloodState {
-            dist: Some(0),
-            fresh: true,
-        };
-        let ga = g.clone();
-        let active_ref = &active;
-        dense
-            .run_until_quiet(
-                &mut states,
-                |u, s: &FloodState| {
-                    if s.fresh && active_ref.binary_search(&u).is_ok() {
-                        let d = s.dist.unwrap();
-                        ga.neighbors(u)
-                            .iter()
-                            .copied()
-                            .filter(|v| active_ref.binary_search(v).is_ok())
-                            .map(|v| (v, d + 1))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    }
-                },
-                |_v, s, inbox| {
-                    s.fresh = false;
-                    for (_src, d) in inbox {
-                        if s.dist.map_or(true, |cur| d < cur) {
-                            s.dist = Some(d);
-                            s.fresh = true;
-                        }
-                    }
-                },
-                10_000,
-            )
-            .unwrap();
-
+        let (states, _) = full_scan_flood(&mut dense, &[8], |v| active.binary_search(&v).is_ok());
         let mut scoped = Network::new(g, NetworkConfig::default());
         let got = scoped_flood(&mut scoped, &active, 8);
-
         assert_eq!(*dense.metrics(), *scoped.metrics());
         for (i, &v) in active.iter().enumerate() {
             assert_eq!(got[i], states[v as usize].dist, "node {v}");
         }
+    }
+
+    /// Run the multi-source flood through the frontier loop and through the
+    /// full-scan reference on two fresh networks built by `make`, and
+    /// require identical states, superstep counts and metrics.
+    fn assert_frontier_matches_full_scan(make: impl Fn() -> Network, sources: &[u32]) {
+        let mut reference = make();
+        let (want, want_steps) = full_scan_flood(&mut reference, sources, |_| true);
+        let mut net = make();
+        let g = net.graph_handle();
+        let mut got = flood_states(net.n(), sources);
+        let steps = net
+            .run_until_quiet(&mut got, flood_send(&g, |_| true), flood_recv, 10_000)
+            .unwrap();
+        assert_eq!(got, want);
+        assert_eq!(steps, want_steps);
+        assert_eq!(*net.metrics(), *reference.metrics());
+        assert!(net.metrics().messages > 0);
+    }
+
+    #[test]
+    fn frontier_matches_full_scan_on_gnp_with_isolated_vertices() {
+        let g = gnp(120, 0.025, 7);
+        assert!((0..120).any(|v| g.degree(v) == 0), "want isolated vertices");
+        let isolated = (0..120).find(|&v| g.degree(v) == 0).unwrap();
+        assert_frontier_matches_full_scan(
+            || Network::new(g.clone(), NetworkConfig::default()),
+            &[0, 17, isolated, 99],
+        );
+    }
+
+    #[test]
+    fn frontier_matches_full_scan_on_grid() {
+        let g = twgraph::gen::grid(7, 9);
+        assert_frontier_matches_full_scan(
+            || Network::new(g.clone(), NetworkConfig::default()),
+            &[0],
+        );
+        assert_frontier_matches_full_scan(
+            || Network::new(g.clone(), NetworkConfig::default()),
+            &[4, 31, 62],
+        );
+    }
+
+    #[test]
+    fn frontier_matches_full_scan_on_virtual_network() {
+        // Physical path 0-…-5; virtual node v lives on host v / 2. The pair
+        // edges (2i, 2i+1) are node-local (free); the others ride physical
+        // edges.
+        let phys = path(6);
+        let mut edges = Vec::new();
+        for i in 0..6u32 {
+            edges.push((2 * i, 2 * i + 1));
+            if i + 1 < 6 {
+                edges.push((2 * i + 1, 2 * i + 2));
+                edges.push((2 * i, 2 * i + 3));
+            }
+        }
+        let virt = twgraph::UGraph::from_edges(12, edges);
+        let make = || {
+            let proj = crate::EdgeProjection::from_hosts(&virt, &phys, |v| v / 2).unwrap();
+            Network::with_projection(virt.clone(), proj, NetworkConfig::default())
+        };
+        assert_frontier_matches_full_scan(make, &[0]);
+        assert_frontier_matches_full_scan(make, &[1, 10]);
+    }
+
+    #[test]
+    fn frontier_loop_visits_only_the_frontier() {
+        // A BFS flood over path(1000) runs ~n supersteps; a full scan would
+        // call send and recv ~n² times, the frontier loop O(n) times.
+        let n = 1000;
+        let g = path(n);
+        let mut net = Network::new(g.clone(), NetworkConfig::default());
+        let mut states = flood_states(n, &[0]);
+        let (mut sends, mut recvs) = (0usize, 0usize);
+        let mut send = flood_send(&g, |_| true);
+        let steps = net
+            .run_until_quiet(
+                &mut states,
+                |u, s, out| {
+                    sends += 1;
+                    send(u, s, out)
+                },
+                |v, s, inbox| {
+                    recvs += 1;
+                    flood_recv(v, s, inbox)
+                },
+                10_000,
+            )
+            .unwrap();
+        assert_eq!(steps, n as u64);
+        assert_eq!(states[n - 1].dist, Some(n as u32 - 1));
+        assert!(sends <= 2 * n, "send ran {sends} times");
+        assert!(recvs <= 2 * n, "recv ran {recvs} times");
+    }
+
+    #[test]
+    fn superstep_budget_is_a_typed_error() {
+        // Ping-pong on path(2): a ball starting at node 0 with `k` bounces
+        // left takes exactly k productive supersteps.
+        let k = 7u64;
+        let run = |budget: u64| {
+            let mut net = Network::new(path(2), NetworkConfig::default());
+            let mut states: Vec<Option<u64>> = vec![Some(k), None];
+            let res = net.run_until_quiet(
+                &mut states,
+                |u, s, out| {
+                    if let Some(left @ 1..) = s.take() {
+                        out.send(1 - u, left - 1);
+                    }
+                    false
+                },
+                |_v, s, inbox| {
+                    for (_src, left) in inbox {
+                        *s = Some(left);
+                    }
+                    true
+                },
+                budget,
+            );
+            (res, *net.metrics())
+        };
+        let (res, m) = run(k);
+        assert_eq!(res, Ok(k));
+        assert_eq!(m.supersteps, k);
+        let (res, m) = run(k - 1);
+        assert_eq!(res, Err(CongestError::SuperstepBudget { limit: k - 1 }));
+        // The supersteps already run stay charged; the one over budget not.
+        assert_eq!(m.supersteps, k - 1);
+        assert_eq!(m.messages, k - 1);
+    }
+
+    /// Both scoped entry points on `path(4)` with the given active list;
+    /// returns their results and checks nothing was charged.
+    fn run_scoped(active: &[u32]) -> (Result<u64, CongestError>, Result<u64, CongestError>) {
+        let mut net = Network::new(path(4), NetworkConfig::default());
+        let mut states = vec![(); active.len()];
+        let single = net.superstep_on(
+            active,
+            &mut states,
+            |u, _s| vec![(u ^ 1, 1u32)],
+            |_v, _s, _inbox| {},
+        );
+        let looped = net.run_until_quiet_on(
+            active,
+            &mut states,
+            |u, _s, out| {
+                out.send(u ^ 1, 1u32);
+                false
+            },
+            |_v, _s, _inbox| false,
+            10,
+        );
+        assert_eq!(net.metrics().supersteps, 0);
+        assert_eq!(net.metrics().rounds, 0);
+        (single, looped)
+    }
+
+    #[test]
+    fn unsorted_active_list_is_rejected() {
+        for (active, position) in [(&[1u32, 0][..], 1), (&[0, 1, 1], 2), (&[2, 3, 0], 2)] {
+            let err = Err(CongestError::UnsortedActiveList { position });
+            assert_eq!(run_scoped(active), (err, err), "active {active:?}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_active_list_is_rejected() {
+        let err = Err(CongestError::ActiveOutOfRange { vertex: 4, n: 4 });
+        assert_eq!(run_scoped(&[0, 1, 4]), (err, err));
+        let err = Err(CongestError::ActiveOutOfRange {
+            vertex: u32::MAX,
+            n: 4,
+        });
+        assert_eq!(run_scoped(&[u32::MAX]), (err, err));
     }
 
     #[test]

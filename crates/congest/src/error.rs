@@ -32,6 +32,27 @@ pub enum CongestError {
         /// Physical endpoint the virtual hi-endpoint maps to.
         v: u32,
     },
+    /// A quiescence loop still had messages to send after `limit` charged
+    /// supersteps (see [`crate::Network::run_until_quiet`]). The supersteps
+    /// already run stay charged; the one that would exceed the budget is
+    /// not.
+    SuperstepBudget {
+        /// The superstep budget the caller passed.
+        limit: u64,
+    },
+    /// A scoped superstep's active list is not strictly ascending:
+    /// `active[position]` does not exceed `active[position - 1]`.
+    UnsortedActiveList {
+        /// First offending index into the active list.
+        position: usize,
+    },
+    /// A scoped superstep's active list names a vertex outside the network.
+    ActiveOutOfRange {
+        /// The offending vertex.
+        vertex: u32,
+        /// The network's node count.
+        n: usize,
+    },
 }
 
 impl fmt::Display for CongestError {
@@ -48,6 +69,18 @@ impl fmt::Display for CongestError {
             }
             CongestError::UnsimulatableEdge { u, v } => {
                 write!(f, "virtual edge maps to non-edge ({u},{v})")
+            }
+            CongestError::SuperstepBudget { limit } => {
+                write!(f, "quiescence loop still active after {limit} supersteps")
+            }
+            CongestError::UnsortedActiveList { position } => {
+                write!(
+                    f,
+                    "active list not strictly ascending at position {position}"
+                )
+            }
+            CongestError::ActiveOutOfRange { vertex, n } => {
+                write!(f, "active list names vertex {vertex} of a {n}-node network")
             }
         }
     }

@@ -24,8 +24,10 @@
 //! ## Example
 //!
 //! A BFS flood on a 10-node path. State per node is `(dist, fresh)`; a node
-//! re-broadcasts only when its distance improved. The engine charges exactly
-//! ten rounds — nine propagation supersteps plus the far endpoint's final
+//! re-broadcasts only when its distance improved. `send` clears `fresh` as
+//! it floods, `recv` re-arms a node whose distance improved, and the
+//! quiescence loop visits only those nodes. The engine charges exactly ten
+//! rounds — nine propagation supersteps plus the far endpoint's final
 //! (improving-nothing) echo:
 //!
 //! ```
@@ -38,17 +40,20 @@
 //! states[0] = (Some(0), true);
 //! net.run_until_quiet(
 //!     &mut states,
-//!     |u, s| match s {
-//!         (Some(d), true) => g.neighbors(u).iter().map(|&v| (v, d + 1)).collect(),
-//!         _ => Vec::new(),
+//!     |u, s, out| {
+//!         if let (Some(d), true) = *s {
+//!             out.extend(g.neighbors(u).iter().map(|&v| (v, d + 1)));
+//!             s.1 = false;
+//!         }
+//!         false
 //!     },
 //!     |_v, s, inbox| {
-//!         s.1 = false;
 //!         for (_src, d) in inbox {
 //!             if s.0.map_or(true, |cur| d < cur) {
 //!                 *s = (Some(d), true);
 //!             }
 //!         }
+//!         s.1
 //!     },
 //!     10_000,
 //! ).unwrap();
@@ -72,7 +77,7 @@ mod metrics;
 mod projection;
 mod wire;
 
-pub use engine::{balanced_ranges, Inbox, InboxIter, Network, NetworkConfig};
+pub use engine::{balanced_ranges, Inbox, InboxIter, Network, NetworkConfig, Outbox};
 pub use error::CongestError;
 pub use metrics::{Metrics, MetricsDelta, PhaseSnapshot};
 pub use projection::{EdgeProjection, NO_SLOT};

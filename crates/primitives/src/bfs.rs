@@ -28,8 +28,9 @@ struct PBfsState {
 ///
 /// The membership-exchange preamble and the child-notification round are
 /// full-network SNCs (every node advertises, members notify); the flood in
-/// between runs scoped to the member nodes, so its per-superstep cost is
-/// O(members) instead of O(n) at identical charged metrics.
+/// between runs on the frontier loop scoped to the member nodes, so a
+/// superstep costs O(senders + receivers + messages) at identical charged
+/// metrics.
 pub fn part_bfs_trees(
     net: &mut Network,
     parts: &Parts,
@@ -86,30 +87,27 @@ pub fn part_bfs_trees(
     net.run_until_quiet_on(
         &active,
         &mut states,
-        |u, s: &PBfsState| {
-            let mut out = Vec::new();
+        |u, s, out| {
             for (i, &p) in memberships[u as usize].iter().enumerate() {
-                if s.fresh[i] {
-                    for &w in &s.nbrs[i] {
-                        out.push((w, (p, s.dist[i])));
-                    }
+                if std::mem::take(&mut s.fresh[i]) {
+                    out.extend(s.nbrs[i].iter().map(|&w| (w, (p, s.dist[i]))));
                 }
             }
-            out
+            false
         },
         |v, s, inbox| {
-            for f in s.fresh.iter_mut() {
-                *f = false;
-            }
+            let mut armed = false;
             for (src, (p, d)) in inbox {
                 if let Ok(i) = memberships[v as usize].binary_search(&p) {
                     if d + 1 < s.dist[i] {
                         s.dist[i] = d + 1;
                         s.parent[i] = src;
                         s.fresh[i] = true;
+                        armed = true;
                     }
                 }
             }
+            armed
         },
         8 * n as u64 + 64,
     )?;

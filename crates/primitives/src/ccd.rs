@@ -7,10 +7,10 @@
 //! Rounds ≈ the largest component diameter (measured; see DESIGN.md §4 on
 //! why flooding is the honest substitute here).
 //!
-//! The flood itself runs scoped to the active set
+//! The flood itself runs on the frontier loop scoped to the active set
 //! ([`Network::run_until_quiet_on`]): the charged metrics are identical to
 //! a full-network execution (inactive nodes never send), but a superstep
-//! costs O(active) rather than O(n).
+//! costs O(senders + receivers + messages) rather than O(n).
 
 use congest_sim::{CongestError, Network};
 
@@ -27,8 +27,8 @@ struct CcdState {
 pub fn detect_on_with(
     net: &mut Network,
     active: &[u32],
-    is_active: impl Fn(u32) -> bool + Sync,
-    allowed: impl Fn(u32, u32) -> bool + Sync,
+    is_active: impl Fn(u32) -> bool,
+    allowed: impl Fn(u32, u32) -> bool,
 ) -> Result<Vec<u64>, CongestError> {
     let n = net.n();
     let g = net.graph_handle();
@@ -42,26 +42,27 @@ pub fn detect_on_with(
     net.run_until_quiet_on(
         active,
         &mut states,
-        |u, s: &CcdState| {
+        |u, s, out| {
             if s.fresh {
-                g.neighbors(u)
-                    .iter()
-                    .copied()
-                    .filter(|&v| is_active(v) && allowed(u, v))
-                    .map(|v| (v, s.label))
-                    .collect()
-            } else {
-                Vec::new()
+                out.extend(
+                    g.neighbors(u)
+                        .iter()
+                        .copied()
+                        .filter(|&v| is_active(v) && allowed(u, v))
+                        .map(|v| (v, s.label)),
+                );
+                s.fresh = false;
             }
+            false
         },
         |_v, s, inbox| {
-            s.fresh = false;
             for (_src, label) in inbox {
                 if label < s.label {
                     s.label = label;
                     s.fresh = true;
                 }
             }
+            s.fresh
         },
         8 * n as u64 + 64,
     )?;
@@ -75,7 +76,7 @@ pub fn detect_on_with(
 pub fn detect_on(
     net: &mut Network,
     active: &[u32],
-    allowed: impl Fn(u32, u32) -> bool + Sync,
+    allowed: impl Fn(u32, u32) -> bool,
 ) -> Result<Vec<u64>, CongestError> {
     // Membership mask for O(1) "is my neighbour active" checks.
     let mut is_active = vec![false; net.n()];
@@ -91,7 +92,7 @@ pub fn detect_on(
 pub fn detect(
     net: &mut Network,
     active: &[bool],
-    allowed: impl Fn(u32, u32) -> bool + Sync,
+    allowed: impl Fn(u32, u32) -> bool,
 ) -> Result<Vec<Option<u64>>, CongestError> {
     let n = net.n();
     assert_eq!(active.len(), n);

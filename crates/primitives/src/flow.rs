@@ -7,14 +7,16 @@
 //! (smoothed) congestion, the envelope of the paper's scheduling theorem
 //! (Theorem 6). Items are FIFO, so no reordering starvation.
 //!
-//! Flows run **scoped** to the role-holding nodes
-//! ([`TreeRoles::nodes`]): states are allocated per participating node and
-//! every superstep costs O(participants + messages) instead of O(n) — the
-//! charged metrics are identical to a full-network execution because nodes
-//! without roles never send anything.
+//! Flows run on the engine's frontier quiescence loop, scoped to the
+//! role-holding nodes ([`TreeRoles::nodes`]): states are allocated per
+//! participating node, `send` runs only on nodes with a non-empty queue and
+//! `recv` only on nodes that received, so a superstep costs O(senders +
+//! receivers + messages) — the charged metrics are identical to a
+//! full-network execution because nodes without queued items never send
+//! anything.
 
 use crate::roles::TreeRoles;
-use congest_sim::{CongestError, Network, WireMsg};
+use congest_sim::{CongestError, Network, Outbox, WireMsg};
 use std::collections::VecDeque;
 
 /// Wire format of a flow item: part id + optional payload (None = a relay
@@ -50,9 +52,18 @@ struct UpState<V> {
     queue: VecDeque<(u32, FlowMsg<V>)>,
     finalized: Vec<(u32, V)>,
     root_results: Vec<(u32, V)>,
-    /// Items this node forwards in the ongoing superstep (set by the
-    /// orchestrator loop so the send closure needs no id → position map).
-    pending: usize,
+}
+
+/// Forward up to `rate` queued items, FIFO; the node stays armed while
+/// items remain.
+fn send_queued<V>(
+    queue: &mut VecDeque<(u32, FlowMsg<V>)>,
+    rate: usize,
+    out: &mut Outbox<'_, FlowMsg<V>>,
+) -> bool {
+    let k = queue.len().min(rate);
+    out.extend(queue.drain(..k));
+    !queue.is_empty()
 }
 
 /// Convergecast: combine per-(node, part) initial values toward each part
@@ -61,11 +72,11 @@ struct UpState<V> {
 pub fn upflow<V>(
     net: &mut Network,
     roles: &TreeRoles,
-    init: impl Fn(u32, u32) -> Option<V> + Sync,
-    combine: impl Fn(V, V) -> V + Sync + Send,
+    init: impl Fn(u32, u32) -> Option<V>,
+    combine: impl Fn(V, V) -> V,
 ) -> Result<UpflowResult<V>, CongestError>
 where
-    V: WireMsg + Sync + std::fmt::Debug,
+    V: WireMsg + std::fmt::Debug,
 {
     let n = net.n();
     assert_eq!(roles.roles.len(), n);
@@ -85,7 +96,6 @@ where
                 queue: VecDeque::new(),
                 finalized: Vec::new(),
                 root_results: Vec::new(),
-                pending: 0,
             }
         })
         .collect();
@@ -95,47 +105,30 @@ where
         finalize_ready(v, &mut states[i], roles);
     }
 
-    let max_steps = flow_step_guard(roles, n);
-    let mut steps = 0u64;
-    loop {
-        let mut any = false;
-        for s in states.iter_mut() {
-            s.pending = s.queue.len().min(rate);
-            any |= s.pending > 0;
-        }
-        if !any {
-            break;
-        }
-        assert!(steps < max_steps, "upflow exceeded {max_steps} supersteps");
-        steps += 1;
-        net.superstep_on(
-            active,
-            &mut states,
-            |_u, s: &UpState<V>| s.queue.iter().take(s.pending).cloned().collect::<Vec<_>>(),
-            |v, s, inbox| {
-                for (_src, msg) in inbox {
-                    let rs = &roles.roles[v as usize];
-                    let idx = rs
-                        .binary_search_by_key(&msg.part, |r| r.part)
-                        .expect("flow message for part without role");
-                    if let Some(val) = msg.value {
-                        s.acc[idx] = Some(match s.acc[idx].take() {
-                            Some(cur) => combine(cur, val),
-                            None => val,
-                        });
-                    }
-                    s.remaining[idx] -= 1;
+    net.run_until_quiet_on(
+        active,
+        &mut states,
+        |_u, s, out| send_queued(&mut s.queue, rate, out),
+        |v, s, inbox| {
+            let rs = &roles.roles[v as usize];
+            for (_src, msg) in inbox {
+                let idx = rs
+                    .binary_search_by_key(&msg.part, |r| r.part)
+                    .expect("flow message for part without role");
+                if let Some(val) = msg.value {
+                    s.acc[idx] = Some(match s.acc[idx].take() {
+                        Some(cur) => combine(cur, val),
+                        None => val,
+                    });
                 }
-            },
-        )?;
-        // Local post-processing (free): drop sent items, finalize newly
-        // complete roles.
-        for (i, &v) in active.iter().enumerate() {
-            let sent = states[i].pending;
-            states[i].queue.drain(..sent);
-            finalize_ready(v, &mut states[i], roles);
-        }
-    }
+                s.remaining[idx] -= 1;
+            }
+            // Local post-processing (free): finalize newly complete roles.
+            finalize_ready(v, s, roles);
+            !s.queue.is_empty()
+        },
+        flow_step_guard(roles, n),
+    )?;
 
     let mut roots = Vec::new();
     let mut per_node = vec![Vec::new(); n];
@@ -175,7 +168,6 @@ fn finalize_ready<V: Clone>(v: u32, s: &mut UpState<V>, roles: &TreeRoles) {
 struct DownState<V> {
     queue: VecDeque<(u32, FlowMsg<V>)>,
     got: Vec<(u32, V)>,
-    pending: usize,
 }
 
 /// Broadcast: deliver each part root's item list to every node in the part
@@ -185,10 +177,10 @@ struct DownState<V> {
 pub fn downflow<V>(
     net: &mut Network,
     roles: &TreeRoles,
-    root_items: impl Fn(u32, u32) -> Vec<V> + Sync,
+    root_items: impl Fn(u32, u32) -> Vec<V>,
 ) -> Result<Vec<Vec<(u32, V)>>, CongestError>
 where
-    V: WireMsg + Sync + std::fmt::Debug,
+    V: WireMsg + std::fmt::Debug,
 {
     let n = net.n();
     assert_eq!(roles.roles.len(), n);
@@ -201,7 +193,6 @@ where
             let mut st = DownState {
                 queue: VecDeque::new(),
                 got: Vec::new(),
-                pending: 0,
             };
             for r in &roles.roles[v as usize] {
                 if r.parent == v {
@@ -227,49 +218,32 @@ where
     // Every productive superstep moves ≥ 1 queued item and total queue pushes
     // are bounded by items × tree size.
     let max_steps = flow_step_guard(roles, n) + (total_items as u64 + 1) * (n as u64 + 1);
-    let mut steps = 0u64;
-    loop {
-        let mut any = false;
-        for s in states.iter_mut() {
-            s.pending = s.queue.len().min(rate);
-            any |= s.pending > 0;
-        }
-        if !any {
-            break;
-        }
-        assert!(
-            steps < max_steps,
-            "downflow exceeded {max_steps} supersteps"
-        );
-        steps += 1;
-        net.superstep_on(
-            active,
-            &mut states,
-            |_u, s: &DownState<V>| s.queue.iter().take(s.pending).cloned().collect::<Vec<_>>(),
-            |v, s, inbox| {
-                for (_src, msg) in inbox {
-                    let item = msg.value.expect("downflow items are never empty");
-                    let rs = &roles.roles[v as usize];
-                    let idx = rs
-                        .binary_search_by_key(&msg.part, |r| r.part)
-                        .expect("flow message for part without role");
-                    for &c in &rs[idx].children {
-                        s.queue.push_back((
-                            c,
-                            FlowMsg {
-                                part: msg.part,
-                                value: Some(item.clone()),
-                            },
-                        ));
-                    }
-                    s.got.push((msg.part, item));
+    net.run_until_quiet_on(
+        active,
+        &mut states,
+        |_u, s, out| send_queued(&mut s.queue, rate, out),
+        |v, s, inbox| {
+            let rs = &roles.roles[v as usize];
+            for (_src, msg) in inbox {
+                let item = msg.value.expect("downflow items are never empty");
+                let idx = rs
+                    .binary_search_by_key(&msg.part, |r| r.part)
+                    .expect("flow message for part without role");
+                for &c in &rs[idx].children {
+                    s.queue.push_back((
+                        c,
+                        FlowMsg {
+                            part: msg.part,
+                            value: Some(item.clone()),
+                        },
+                    ));
                 }
-            },
-        )?;
-        for s in states.iter_mut() {
-            s.queue.drain(..s.pending);
-        }
-    }
+                s.got.push((msg.part, item));
+            }
+            !s.queue.is_empty()
+        },
+        max_steps,
+    )?;
 
     let mut out = vec![Vec::new(); n];
     for (i, s) in states.into_iter().enumerate() {

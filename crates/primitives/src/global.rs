@@ -58,21 +58,21 @@ pub fn elect_global_leader(net: &mut Network) -> Result<u32, CongestError> {
         .collect();
     net.run_until_quiet(
         &mut states,
-        |u, s: &ElectState| {
+        |u, s, out| {
             if s.fresh {
-                g.neighbors(u).iter().map(|&v| (v, s.best)).collect()
-            } else {
-                Vec::new()
+                out.extend(g.neighbors(u).iter().map(|&v| (v, s.best)));
+                s.fresh = false;
             }
+            false
         },
         |_v, s, inbox| {
-            s.fresh = false;
             for (_src, uid) in inbox {
                 if uid > s.best {
                     s.best = uid;
                     s.fresh = true;
                 }
             }
+            s.fresh
         },
         4 * n as u64 + 16,
     )?;
@@ -109,15 +109,14 @@ pub fn build_bfs_tree(net: &mut Network, root: u32) -> Result<GlobalTree, Conges
     };
     net.run_until_quiet(
         &mut states,
-        |u, s: &BfsState| {
+        |u, s, out| {
             if s.fresh {
-                g.neighbors(u).iter().map(|&v| (v, s.dist)).collect()
-            } else {
-                Vec::new()
+                out.extend(g.neighbors(u).iter().map(|&v| (v, s.dist)));
+                s.fresh = false;
             }
+            false
         },
         |_v, s, inbox| {
-            s.fresh = false;
             for (src, d) in inbox {
                 if d + 1 < s.dist {
                     s.dist = d + 1;
@@ -125,6 +124,7 @@ pub fn build_bfs_tree(net: &mut Network, root: u32) -> Result<GlobalTree, Conges
                     s.fresh = true;
                 }
             }
+            s.fresh
         },
         4 * n as u64 + 16,
     )?;

@@ -308,7 +308,9 @@ pub fn batch_min_vertex_cut(
     let progress: Vec<AtomicU32> = (0..n_inst).map(|_| AtomicU32::new(0)).collect();
 
     while phase.iter().any(|&p| p != Phase::Done) {
-        assert!(steps < guard, "mvc exceeded {guard} supersteps");
+        if steps == guard {
+            return Err(CongestError::SuperstepBudget { limit: guard });
+        }
         steps += 1;
         for p in &progress {
             p.store(0, Ordering::Relaxed);

@@ -90,11 +90,11 @@ pub fn steiner_roles(tree: &GlobalTree, parts: &Parts) -> TreeRoles {
 pub fn aggregate_and_share<V>(
     net: &mut Network,
     roles: &TreeRoles,
-    value: impl Fn(u32, u32) -> Option<V> + Sync,
-    combine: impl Fn(V, V) -> V + Sync + Send + Copy,
+    value: impl Fn(u32, u32) -> Option<V>,
+    combine: impl Fn(V, V) -> V + Copy,
 ) -> Result<Vec<Vec<(u32, V)>>, CongestError>
 where
-    V: WireMsg + Sync + std::fmt::Debug,
+    V: WireMsg + std::fmt::Debug,
 {
     let up = upflow(net, roles, value, combine)?;
     let totals: HashMap<u32, V> = up.roots.iter().cloned().collect();
@@ -107,11 +107,11 @@ where
 pub fn aggregate<V>(
     net: &mut Network,
     roles: &TreeRoles,
-    value: impl Fn(u32, u32) -> Option<V> + Sync,
-    combine: impl Fn(V, V) -> V + Sync + Send,
+    value: impl Fn(u32, u32) -> Option<V>,
+    combine: impl Fn(V, V) -> V,
 ) -> Result<UpflowResult<V>, CongestError>
 where
-    V: WireMsg + Sync + std::fmt::Debug,
+    V: WireMsg + std::fmt::Debug,
 {
     upflow(net, roles, value, combine)
 }
@@ -122,7 +122,7 @@ where
 pub fn elect_leaders(
     net: &mut Network,
     roles: &TreeRoles,
-    candidate: impl Fn(u32, u32) -> bool + Sync,
+    candidate: impl Fn(u32, u32) -> bool,
 ) -> Result<Vec<Vec<(u32, u32)>>, CongestError> {
     let uids: Vec<u64> = (0..net.n() as u32).map(|v| net.uid(v)).collect();
     let shared = aggregate_and_share(
@@ -150,10 +150,10 @@ pub fn elect_leaders(
 pub fn broadcast<V>(
     net: &mut Network,
     roles: &TreeRoles,
-    items: impl Fn(u32, u32) -> Vec<V> + Sync,
+    items: impl Fn(u32, u32) -> Vec<V>,
 ) -> Result<Vec<Vec<(u32, V)>>, CongestError>
 where
-    V: WireMsg + Sync + std::fmt::Debug,
+    V: WireMsg + std::fmt::Debug,
 {
     let up = upflow(
         net,

@@ -147,25 +147,20 @@ pub fn bounded_hop_distances(
     net.run_until_quiet_on(
         active,
         &mut states,
-        |u, s: &HopState| {
-            let payload: Vec<(u32, u32)> = s
-                .fresh
-                .iter()
-                .copied()
-                .filter(|&(_, d)| d < radius)
-                .collect();
-            if payload.is_empty() {
-                return Vec::new();
+        |u, s, out| {
+            let payload: Vec<(u32, u32)> = s.fresh.drain(..).filter(|&(_, d)| d < radius).collect();
+            if !payload.is_empty() {
+                out.extend(
+                    g_ref
+                        .neighbors(u)
+                        .iter()
+                        .filter(|&&w| in_active(w))
+                        .map(|&w| (w, HopMsg(payload.clone()))),
+                );
             }
-            g_ref
-                .neighbors(u)
-                .iter()
-                .filter(|&&w| in_active(w))
-                .map(|&w| (w, HopMsg(payload.clone())))
-                .collect()
+            false
         },
         |_v, s, inbox| {
-            s.fresh.clear();
             for (_, HopMsg(entries)) in inbox {
                 for (o, d) in entries {
                     let nd = d + 1;
@@ -177,6 +172,7 @@ pub fn bounded_hop_distances(
             }
             s.fresh.sort_unstable();
             s.fresh.dedup();
+            !s.fresh.is_empty()
         },
         u64::from(radius) + 2,
     )?;
