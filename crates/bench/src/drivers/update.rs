@@ -143,9 +143,6 @@ pub fn run(trial: &Trial) -> TrialRow {
         row.det(format!("{name}/dirty_shards"), stats.dirty_shards as u64);
         row.det(format!("{name}/total_shards"), stats.total_shards as u64);
         row.det(format!("{name}/epoch"), stats.epoch);
-        // Carried pairs depend on what the reader threads pulled into the
-        // hot cache mid-publish — context, not a gated quantity.
-        row.info(format!("{name}/carried_pairs"), stats.carried_pairs as f64);
     }
 
     // Correctness spot-check on the final graph (heavy edge deleted, so it

@@ -387,7 +387,8 @@ impl From<ServeError> for UpdateError {
 /// lifecycle — apply the
 /// batch incrementally (dirty-subtree relabeling, full-rebuild fallback on
 /// component splits/merges), then publish the next serving epoch with
-/// clean shards shared and hot cache pairs carried. Readers holding a
+/// dirty rows patched, everything else shared, and hot cache pairs of
+/// clean vertices kept. Readers holding a
 /// [`labelserve::Epoch`] snapshot keep their version for as long as they
 /// keep the `Arc`.
 ///

@@ -39,13 +39,13 @@
 use crate::build::direct_cost;
 use crate::label::{decode, Label};
 use rand::rngs::SmallRng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use treedec::decomp::NodeInfo;
 use treedec::region::decompose_region;
 use treedec::{decompose_centralized, DecompError, SepConfig};
 use twgraph::gen::derive_rng;
 use twgraph::tw::TreeDecomposition;
-use twgraph::{alg, dist_add, Dist, EdgeBatch, MultiDigraph, UGraph, INF};
+use twgraph::{alg, dist_add, AppliedEdits, Dist, EdgeBatch, MultiDigraph, UGraph, INF};
 
 /// Graph-determined distance matrix memoized per tree node: post-APSP
 /// `d_{G_x}` restricted to `verts` (`B_x` for internal nodes, all of
@@ -315,6 +315,16 @@ impl PartLabeling {
         &self.old_of
     }
 
+    /// The part's communication graph, in part-local ids.
+    pub fn graph(&self) -> &UGraph {
+        &self.graph
+    }
+
+    /// The part's instance, in part-local ids.
+    pub fn inst(&self) -> &MultiDigraph {
+        &self.inst
+    }
+
     /// The current tree decomposition.
     pub fn td(&self) -> &TreeDecomposition {
         &self.td
@@ -356,6 +366,44 @@ impl PartLabeling {
         mask
     }
 
+    /// Drop `subtree(x)` from the decomposition and its aligned records,
+    /// moving the survivors down in old id order (parents keep preceding
+    /// children) and renumbering their links. Returns the old → new id
+    /// map (`usize::MAX` for dropped nodes).
+    fn remove_subtree(&mut self, x: usize) -> Vec<usize> {
+        let gone = self.subtree_mask(x);
+        let mut map = vec![usize::MAX; gone.len()];
+        let mut next = 0;
+        for (y, &g) in gone.iter().enumerate() {
+            if !g {
+                map[y] = next;
+                next += 1;
+            }
+        }
+        fn keep<T>(v: &mut Vec<T>, gone: &[bool]) {
+            let mut i = 0;
+            v.retain(|_| {
+                i += 1;
+                !gone[i - 1]
+            });
+        }
+        let td = &mut self.td;
+        keep(&mut td.bags, &gone);
+        keep(&mut td.parent, &gone);
+        keep(&mut td.children, &gone);
+        keep(&mut self.info, &gone);
+        keep(&mut self.memo, &gone);
+        for p in &mut td.parent {
+            *p = map[*p];
+        }
+        for children in &mut td.children {
+            children.retain(|&c| !gone[c]);
+            children.iter_mut().for_each(|c| *c = map[*c]);
+        }
+        td.root = map[td.root];
+        map
+    }
+
     /// Full relabel of the part on its current decomposition (used by the
     /// gate-failure fallback after the region splice).
     fn relabel_all(&mut self) {
@@ -364,18 +412,14 @@ impl PartLabeling {
         self.memo = memo;
     }
 
-    /// Apply an in-place update (same vertex set, still connected):
-    /// `graph`/`inst` are the part-induced *new* structures and
-    /// `touched` the part-local endpoints of effective edge changes.
+    /// Relabel after an update that kept the part's vertex set (and left
+    /// it connected): `graph`/`inst` already hold the new structures and
+    /// `touched` lists the part-local endpoints of effective edge changes.
     fn apply_scoped(
         &mut self,
-        graph: UGraph,
-        inst: MultiDigraph,
         touched: &[u32],
         rng: &mut SmallRng,
     ) -> Result<ScopedStats, DecompError> {
-        self.graph = graph;
-        self.inst = inst;
         let x = self.dirty_node(touched);
 
         if x == self.td.root {
@@ -402,41 +446,19 @@ impl PartLabeling {
         let region = decompose_region(&self.graph, &old_gpx, &self.td.bags[p], self.t0, &cfg, rng)?;
         self.t_used = self.t_used.max(region.t_used);
 
-        // Splice: copy survivors in old id order (parents precede children
-        // by push_bag construction), then attach the replacement nodes.
-        let in_subtree = self.subtree_mask(x);
-        let mut td = TreeDecomposition::default();
-        let mut info: Vec<NodeInfo> = Vec::new();
-        let mut memo: Vec<NodeMemo> = Vec::new();
-        let mut map = vec![usize::MAX; self.td.bags.len()];
-        for y in 0..self.td.bags.len() {
-            if in_subtree[y] {
-                continue;
-            }
-            let parent = if self.td.parent[y] == y {
-                None
-            } else {
-                Some(map[self.td.parent[y]])
-            };
-            map[y] = td.push_bag(parent, self.td.bags[y].clone());
-            info.push(self.info[y].clone());
-            memo.push(self.memo[y].clone());
-        }
-        let p_new = map[p];
+        // Splice: survivors move down in old id order, then the
+        // replacement nodes attach under p(x).
+        let p_new = self.remove_subtree(x)[p];
         let mut region_ids = Vec::with_capacity(region.nodes.len());
-        for rn in &region.nodes {
+        for rn in region.nodes {
             let parent = Some(match rn.parent {
                 Some(i) => region_ids[i],
                 None => p_new,
             });
-            let id = td.push_bag(parent, rn.bag.clone());
-            region_ids.push(id);
-            info.push(rn.info.clone());
-            memo.push(NodeMemo::default());
+            region_ids.push(self.td.push_bag(parent, rn.bag));
+            self.info.push(rn.info);
+            self.memo.push(NodeMemo::default());
         }
-        self.td = td;
-        self.info = info;
-        self.memo = memo;
 
         // Clear: region vertices lose their labels entirely; boundary
         // vertices drop entries whose hub lies inside the region (only
@@ -585,7 +607,13 @@ impl DynamicLabeling {
         &self.inst
     }
 
-    /// Component id per vertex (recomputed on every apply).
+    /// The current communication graph.
+    pub fn graph(&self) -> &UGraph {
+        &self.graph
+    }
+
+    /// Component id per vertex (recomputed when an apply changes the
+    /// components).
     pub fn comp_of(&self) -> &[u32] {
         &self.comp_of
     }
@@ -621,19 +649,94 @@ impl DynamicLabeling {
     }
 
     /// Apply an edge batch, updating labels incrementally where possible.
+    ///
+    /// The instance and communication graph are edited in place. When the
+    /// batch keeps every component's vertex set, each touched part's local
+    /// graph and instance are edited in place too and only its dirty
+    /// subtree is relabeled; otherwise components are recomputed, touched
+    /// parts re-induced and split or merged ones rebuilt from scratch.
     pub fn apply(&mut self, batch: &EdgeBatch) -> Result<UpdateReport, DecompError> {
-        let (new_inst, touched) = batch.apply(&self.inst);
+        let edits = batch.apply_in_place(&mut self.inst, &mut self.graph);
         self.applied += 1;
-        if touched.is_empty() {
-            return Ok(UpdateReport {
+        let mut rep = if edits.touched.is_empty() {
+            UpdateReport {
                 parts_reused: self.parts.len(),
-                total_nodes: self.parts.iter().map(|p| p.td.bags.len()).sum(),
                 ..UpdateReport::default()
-            });
+            }
+        } else if self.keeps_components(&edits) {
+            self.apply_within_parts(&edits)?
+        } else {
+            self.repartition(&edits.touched)?
+        };
+        rep.dirty.sort_unstable();
+        rep.dirty.dedup();
+        rep.total_nodes = self.parts.iter().map(|p| p.td.bags.len()).sum();
+        Ok(rep)
+    }
+
+    /// Whether the edited graph has the old components: every inserted
+    /// edge joins two vertices of one component, and every deleted pair is
+    /// still connected (so no path through a deleted edge is lost).
+    fn keeps_components(&self, edits: &AppliedEdits) -> bool {
+        edits
+            .inserted
+            .iter()
+            .all(|&(u, v, ..)| self.comp_of[u as usize] == self.comp_of[v as usize])
+            && edits
+                .deleted
+                .iter()
+                .all(|&(u, v)| alg::connected(&self.graph, u, v))
+    }
+
+    /// Components unchanged: edit each touched part's graph and instance
+    /// in place (part-local ids, same arc order as re-inducing it) and
+    /// relabel its dirty subtree. `comp_of` and `part_of` stay as they are.
+    fn apply_within_parts(&mut self, edits: &AppliedEdits) -> Result<UpdateReport, DecompError> {
+        let local = |v: u32| self.part_of[v as usize];
+        let mut touched: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+        for &t in &edits.touched {
+            let (p, l) = local(t);
+            touched.entry(p).or_default().push(l);
         }
+        let mut deleted: BTreeMap<u32, Vec<(u32, u32)>> = BTreeMap::new();
+        for &(u, v) in &edits.deleted {
+            let ((p, lu), (_, lv)) = (local(u), local(v));
+            deleted.entry(p).or_default().push((lu, lv));
+        }
+        for (&p, pairs) in &deleted {
+            let part = &mut self.parts[p as usize];
+            part.inst.remove_edges(pairs);
+            for &(lu, lv) in pairs {
+                part.graph.remove_edge(lu, lv);
+            }
+        }
+        for &(u, v, w, ue) in &edits.inserted {
+            let ((p, lu), (_, lv)) = (local(u), local(v));
+            let part = &mut self.parts[p as usize];
+            part.inst.push_edge(lu, lv, w, ue);
+            part.graph.insert_edge(lu, lv);
+        }
+        let mut rep = UpdateReport::default();
+        for (p, touched_local) in touched {
+            let part = &mut self.parts[p as usize];
+            let mut rng = derive_rng(
+                "dynlabel_apply",
+                &[self.applied, part.old_of[0] as u64],
+                self.seed,
+            );
+            let stats = part.apply_scoped(&touched_local, &mut rng)?;
+            rep.note_scoped(&stats, &part.old_of);
+        }
+        rep.parts_reused = self.parts.len() - rep.parts_scoped;
+        Ok(rep)
+    }
+
+    /// Components changed: recompute them, match the new components to
+    /// old parts by vertex set, re-induce touched parts whose vertex set
+    /// survived and rebuild the rest from scratch.
+    fn repartition(&mut self, touched: &[u32]) -> Result<UpdateReport, DecompError> {
         let n = self.graph.n();
-        let new_graph = new_inst.comm_graph();
-        let (comp_of, n_comp) = alg::components(&new_graph);
+        let (comp_of, n_comp) = alg::components(&self.graph);
         let mut comp_verts: Vec<Vec<u32>> = vec![Vec::new(); n_comp];
         for v in 0..n {
             comp_verts[comp_of[v] as usize].push(v as u32);
@@ -663,69 +766,70 @@ impl DynamicLabeling {
                 .copied()
                 .filter(|t| verts.binary_search(t).is_ok())
                 .collect();
-            match matching {
+            let mut rng = derive_rng(
+                "dynlabel_apply",
+                &[self.applied, verts[0] as u64],
+                self.seed,
+            );
+            let part = match matching {
                 Some(i) if touched_here.is_empty() => {
                     // Vertex set unchanged and nothing touched: the induced
                     // instance is identical — reuse the part wholesale.
                     rep.parts_reused += 1;
-                    new_parts.push(old_parts[i].take().unwrap());
+                    old_parts[i].take().expect("each old part matches once")
                 }
                 Some(i) => {
-                    let mut keep = vec![false; n];
-                    for &v in &verts {
-                        keep[v as usize] = true;
-                    }
-                    let (pg, _) = new_graph.induced(&keep);
-                    let (pi, _) = new_inst.induced(&keep);
-                    let mut part = old_parts[i].take().unwrap();
+                    let mut part = old_parts[i].take().expect("each old part matches once");
+                    (part.graph, part.inst) = self.induce(&verts);
                     let touched_local: Vec<u32> = touched_here
                         .iter()
-                        .map(|t| part.old_of.binary_search(t).unwrap() as u32)
+                        .map(|t| {
+                            let l = part.old_of.binary_search(t);
+                            l.expect("a touched vertex of the component") as u32
+                        })
                         .collect();
-                    let mut rng = derive_rng(
-                        "dynlabel_apply",
-                        &[self.applied, verts[0] as u64],
-                        self.seed,
-                    );
-                    let stats = part.apply_scoped(pg, pi, &touched_local, &mut rng)?;
-                    rep.parts_scoped += 1;
-                    rep.fallbacks += stats.fallback as usize;
-                    rep.region_nodes += stats.region_nodes;
-                    rep.refreshed += stats.refreshed;
-                    rep.dirty
-                        .extend(stats.dirty_local.iter().map(|&l| part.old_of[l as usize]));
-                    new_parts.push(part);
+                    let stats = part.apply_scoped(&touched_local, &mut rng)?;
+                    rep.note_scoped(&stats, &part.old_of);
+                    part
                 }
                 None => {
                     // Split or merge: the vertex set is new — scratch-build.
-                    let mut keep = vec![false; n];
-                    for &v in &verts {
-                        keep[v as usize] = true;
-                    }
-                    let (pg, old_of) = new_graph.induced(&keep);
-                    let (pi, _) = new_inst.induced(&keep);
-                    let mut rng = derive_rng(
-                        "dynlabel_apply",
-                        &[self.applied, verts[0] as u64],
-                        self.seed,
-                    );
+                    let (pg, pi) = self.induce(&verts);
                     let cfg = SepConfig::practical(pg.n());
-                    let part = PartLabeling::build(pg, pi, old_of, self.t0, &cfg, &mut rng)?;
                     rep.parts_rebuilt += 1;
                     rep.dirty.extend(verts.iter().copied());
-                    new_parts.push(part);
+                    PartLabeling::build(pg, pi, verts, self.t0, &cfg, &mut rng)?
                 }
-            }
+            };
+            new_parts.push(part);
         }
-        rep.dirty.sort_unstable();
-        rep.dirty.dedup();
-        rep.total_nodes = new_parts.iter().map(|p| p.td.bags.len()).sum();
-        self.inst = new_inst;
-        self.graph = new_graph;
         self.comp_of = comp_of;
         self.part_of = index_parts(n, &new_parts);
         self.parts = new_parts;
         Ok(rep)
+    }
+
+    /// The current graph and instance induced on the sorted vertex list
+    /// `verts`.
+    fn induce(&self, verts: &[u32]) -> (UGraph, MultiDigraph) {
+        let mut keep = vec![false; self.graph.n()];
+        for &v in verts {
+            keep[v as usize] = true;
+        }
+        (self.graph.induced(&keep).0, self.inst.induced(&keep).0)
+    }
+}
+
+impl UpdateReport {
+    /// Account one scoped part apply (`old_of` maps its dirty vertices to
+    /// global ids).
+    fn note_scoped(&mut self, stats: &ScopedStats, old_of: &[u32]) {
+        self.parts_scoped += 1;
+        self.fallbacks += stats.fallback as usize;
+        self.region_nodes += stats.region_nodes;
+        self.refreshed += stats.refreshed;
+        self.dirty
+            .extend(stats.dirty_local.iter().map(|&l| old_of[l as usize]));
     }
 }
 

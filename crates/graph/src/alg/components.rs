@@ -1,7 +1,7 @@
 //! Connected components of undirected graphs.
 
 use crate::ugraph::UGraph;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// Component id per vertex, numbered 0.. in order of discovery, plus the
 /// number of components.
@@ -31,6 +31,36 @@ pub fn components(g: &UGraph) -> (Vec<u32>, usize) {
 /// Whether the graph is connected (vacuously true for n ≤ 1).
 pub fn is_connected(g: &UGraph) -> bool {
     g.n() <= 1 || components(g).1 == 1
+}
+
+/// Whether `u` and `v` lie in one component of `g`. Two breadth-first
+/// searches, one from each end, take one vertex each in turn and stop
+/// when they meet or when either runs out, so the cost is bounded by
+/// about twice the smaller side's work rather than by `n`.
+pub fn connected(g: &UGraph, u: u32, v: u32) -> bool {
+    if u == v {
+        return true;
+    }
+    // Vertex → which search reached it first (false: from `u`).
+    let mut side: HashMap<u32, bool> = HashMap::from([(u, false), (v, true)]);
+    let mut queues = [VecDeque::from([u]), VecDeque::from([v])];
+    loop {
+        for (from_v, q) in [false, true].into_iter().zip(queues.iter_mut()) {
+            let Some(x) = q.pop_front() else {
+                return false;
+            };
+            for &y in g.neighbors(x) {
+                match side.get(&y) {
+                    Some(&s) if s != from_v => return true,
+                    Some(_) => {}
+                    None => {
+                        side.insert(y, from_v);
+                        q.push_back(y);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Index of the largest component by a vertex measure `mu` (ties broken by
@@ -68,6 +98,21 @@ mod tests {
     fn connected_cycle() {
         let g = UGraph::from_edges(4, (0..4u32).map(|i| (i, (i + 1) % 4)));
         assert!(is_connected(&g));
+    }
+
+    #[test]
+    fn connected_pairs_agree_with_components() {
+        let g = UGraph::from_edges(9, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (7, 7)]);
+        let (comp, _) = components(&g);
+        for u in 0..9 {
+            for v in 0..9 {
+                assert_eq!(
+                    connected(&g, u, v),
+                    comp[u as usize] == comp[v as usize],
+                    "({u},{v})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod view;
 pub use ids::{ArcId, NodeId, UEdgeId};
 pub use multidigraph::{Arc, MultiDigraph};
 pub use ugraph::{UGraph, UGraphBuilder};
-pub use update::EdgeBatch;
+pub use update::{AppliedEdits, EdgeBatch};
 pub use view::{StampSet, SubgraphView};
 
 /// Distance value used across the workspace. `u64` with a saturating

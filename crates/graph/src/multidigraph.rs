@@ -42,7 +42,7 @@ impl Arc {
 }
 
 /// A directed weighted labeled multigraph with explicit arc identities.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MultiDigraph {
     n: u32,
     arcs: Vec<Arc>,
@@ -278,6 +278,130 @@ impl MultiDigraph {
             .collect();
         (MultiDigraph::from_arcs(old_of.len(), arcs), old_of)
     }
+
+    /// Remove every arc between each unordered pair of `pairs` in place:
+    /// both directions, parallel arcs included; self-loops and
+    /// out-of-range pairs are skipped. The survivors keep their order and
+    /// close the gaps, so the result equals [`from_arcs`](Self::from_arcs)
+    /// over the filtered arc table. Costs the pairs' adjacency plus one
+    /// shift of the later arcs and one pass over the CSR arrays. Returns
+    /// the removed arcs in id order.
+    pub fn remove_edges(&mut self, pairs: &[(u32, u32)]) -> Vec<Arc> {
+        let mut dead: Vec<u32> = Vec::new();
+        for &(u, v) in pairs {
+            if u == v || u >= self.n || v >= self.n {
+                continue;
+            }
+            for (a, b) in [(u, v), (v, u)] {
+                let arcs = &self.arcs;
+                dead.extend(
+                    self.out_arcs(a)
+                        .iter()
+                        .filter(|&&i| arcs[i as usize].dst == b),
+                );
+            }
+        }
+        dead.sort_unstable();
+        dead.dedup();
+        let removed: Vec<Arc> = dead.iter().map(|&i| self.arcs[i as usize]).collect();
+        if removed.is_empty() {
+            return removed;
+        }
+        let at: Vec<usize> = dead.iter().map(|&i| i as usize).collect();
+        remove_at(&mut self.arcs, &at);
+        let (tails, heads) = (removed.iter().map(|a| a.src), removed.iter().map(|a| a.dst));
+        drop_from_csr(&mut self.out_off, &mut self.out_arcs, &dead, tails);
+        drop_from_csr(&mut self.in_off, &mut self.in_arcs, &dead, heads);
+        if removed
+            .iter()
+            .any(|a| a.uedge.is_some() && a.uedge.0 + 1 == self.n_uedges)
+        {
+            self.n_uedges = self
+                .arcs
+                .iter()
+                .filter(|a| a.uedge.is_some())
+                .map(|a| a.uedge.0 + 1)
+                .max()
+                .unwrap_or(0);
+        }
+        removed
+    }
+
+    /// Append the twin arcs `u → v` and `v → u` (weight `w`, label 0,
+    /// undirected id `uedge`) in place; the result equals
+    /// [`from_arcs`](Self::from_arcs) over the extended arc table.
+    pub fn push_edge(&mut self, u: u32, v: u32, w: Dist, uedge: UEdgeId) {
+        assert!(u < self.n && v < self.n, "arc ({u},{v}) out of range");
+        for (src, dst) in [(u, v), (v, u)] {
+            let id = self.arcs.len() as u32;
+            self.arcs.push(Arc {
+                src,
+                dst,
+                weight: w,
+                label: 0,
+                uedge,
+            });
+            // The new id is the largest, so it closes each ascending list.
+            for (off, ids, x) in [
+                (&mut self.out_off, &mut self.out_arcs, src),
+                (&mut self.in_off, &mut self.in_arcs, dst),
+            ] {
+                ids.insert(off[x as usize + 1] as usize, id);
+                off[x as usize + 1..].iter_mut().for_each(|o| *o += 1);
+            }
+        }
+        if uedge.is_some() {
+            self.n_uedges = self.n_uedges.max(uedge.0 + 1);
+        }
+    }
+}
+
+/// Remove the elements at the sorted, distinct positions `at`, shifting
+/// each run of survivors down once.
+fn remove_at<T: Copy>(v: &mut Vec<T>, at: &[usize]) {
+    let Some(&first) = at.first() else {
+        return;
+    };
+    let mut w = first;
+    for (k, &p) in at.iter().enumerate() {
+        let end = at.get(k + 1).copied().unwrap_or(v.len());
+        v.copy_within(p + 1..end, w);
+        w += end - p - 1;
+    }
+    v.truncate(w);
+}
+
+/// Drop the arcs `dead` (sorted ids, each listed under the matching
+/// vertex of `owners`) from one CSR adjacency, then renumber the surviving
+/// ids as the arc table's gaps close.
+fn drop_from_csr(
+    off: &mut [u32],
+    ids: &mut Vec<u32>,
+    dead: &[u32],
+    owners: impl Iterator<Item = u32>,
+) {
+    let mut at: Vec<usize> = dead
+        .iter()
+        .zip(owners)
+        .map(|(&id, x)| {
+            let (lo, hi) = (off[x as usize] as usize, off[x as usize + 1] as usize);
+            let i = ids[lo..hi].binary_search(&id);
+            lo + i.expect("an arc is listed under its endpoint")
+        })
+        .collect();
+    at.sort_unstable();
+    remove_at(ids, &at);
+    // A vertex's list starts lower by the removed slots before it.
+    let mut k = 0;
+    for o in off.iter_mut() {
+        while k < at.len() && at[k] < *o as usize {
+            k += 1;
+        }
+        *o -= k as u32;
+    }
+    for id in ids.iter_mut().filter(|id| **id > dead[0]) {
+        *id -= dead.partition_point(|&d| d < *id) as u32;
+    }
 }
 
 #[cfg(test)]
@@ -346,6 +470,59 @@ mod tests {
         assert_eq!(h.n_arcs(), 4);
         assert_eq!(old_of, vec![0, 1, 2]);
         assert!(h.arcs().iter().any(|a| a.label == 9 && a.weight == 3));
+    }
+
+    /// In-place removals and twin pushes must equal `from_arcs` over the
+    /// edited arc table: arc order, CSR lists and `n_uedges` alike.
+    #[test]
+    fn in_place_edits_match_from_arcs() {
+        let mut g = MultiDigraph::from_undirected(
+            5,
+            [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 0, 7)],
+        );
+        let mut extra = g.arcs()[0];
+        extra.weight = 9; // a parallel arc with the same uedge
+        let mut arcs = g.arcs().to_vec();
+        arcs.push(extra);
+        g = MultiDigraph::from_arcs(5, arcs);
+
+        let removed = g.remove_edges(&[(1, 0), (3, 3), (9, 1), (2, 4)]);
+        assert_eq!(removed.len(), 3, "both twins and the parallel arc");
+        let kept: Vec<Arc> = MultiDigraph::from_undirected(
+            5,
+            [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 0, 7)],
+        )
+        .arcs()
+        .iter()
+        .copied()
+        .filter(|a| a.uedge != UEdgeId(0))
+        .collect();
+        assert_eq!(g, MultiDigraph::from_arcs(5, kept.clone()));
+
+        g.push_edge(0, 2, 8, UEdgeId(5));
+        let mut want = kept;
+        want.push(Arc {
+            src: 0,
+            dst: 2,
+            weight: 8,
+            label: 0,
+            uedge: UEdgeId(5),
+        });
+        want.push(Arc {
+            src: 2,
+            dst: 0,
+            weight: 8,
+            label: 0,
+            uedge: UEdgeId(5),
+        });
+        assert_eq!(g, MultiDigraph::from_arcs(5, want.clone()));
+
+        // Removing the largest undirected id lowers the count exactly.
+        g.remove_edges(&[(2, 0)]);
+        want.truncate(want.len() - 2);
+        let rebuilt = MultiDigraph::from_arcs(5, want);
+        assert_eq!(g.n_uedges(), rebuilt.n_uedges());
+        assert_eq!(g, rebuilt);
     }
 
     #[test]

@@ -136,6 +136,41 @@ impl UGraph {
         }
         (b.build(), old_of)
     }
+
+    /// Add the edge `{u, v}` in place, keeping the neighbour lists sorted;
+    /// the result equals rebuilding with the edge added. Self-loops and
+    /// present edges change nothing. Returns whether the graph changed.
+    pub fn insert_edge(&mut self, u: u32, v: u32) -> bool {
+        assert!(u < self.n && v < self.n, "edge ({u},{v}) out of range");
+        u != v && self.edit_side(u, v, true) && self.edit_side(v, u, true)
+    }
+
+    /// Remove the edge `{u, v}` in place; the result equals rebuilding
+    /// without it. Returns whether the edge was present.
+    pub fn remove_edge(&mut self, u: u32, v: u32) -> bool {
+        assert!(u < self.n && v < self.n, "edge ({u},{v}) out of range");
+        u != v && self.edit_side(u, v, false) && self.edit_side(v, u, false)
+    }
+
+    /// Insert `v` into (or remove it from) `u`'s sorted list: one shift of
+    /// the later CSR entries and one pass over the later offsets.
+    fn edit_side(&mut self, u: u32, v: u32, insert: bool) -> bool {
+        let lo = self.offsets[u as usize] as usize;
+        let at = self.neighbors(u).binary_search(&v);
+        let later = &mut self.offsets[u as usize + 1..];
+        match (at, insert) {
+            (Err(i), true) => {
+                self.targets.insert(lo + i, v);
+                later.iter_mut().for_each(|o| *o += 1);
+            }
+            (Ok(i), false) => {
+                self.targets.remove(lo + i);
+                later.iter_mut().for_each(|o| *o -= 1);
+            }
+            _ => return false,
+        }
+        true
+    }
 }
 
 /// Incremental builder for [`UGraph`].
@@ -258,6 +293,19 @@ mod tests {
         assert_eq!(h.m(), 2); // the cycle minus vertex 3 is a path
         assert_eq!(old_of, vec![0, 1, 2]);
         assert!(h.has_edge(0, 1) && h.has_edge(1, 2) && !h.has_edge(0, 2));
+    }
+
+    #[test]
+    fn edge_edits_match_a_rebuild() {
+        let mut g = UGraph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]);
+        assert!(g.insert_edge(4, 0));
+        assert!(!g.insert_edge(0, 4), "present edge");
+        assert!(!g.insert_edge(2, 2), "self-loop");
+        assert!(g.remove_edge(2, 1));
+        assert!(!g.remove_edge(1, 2), "absent edge");
+        assert!(g.insert_edge(1, 3));
+        let want = UGraph::from_edges(5, [(0, 1), (2, 3), (3, 4), (0, 4), (1, 3)]);
+        assert_eq!(g, want);
     }
 
     #[test]

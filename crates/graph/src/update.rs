@@ -9,8 +9,21 @@
 //! a twin arc pair sharing a fresh [`UEdgeId`] — so the communication
 //! graph and the instance stay each other's projections.
 
-use crate::{Arc, Dist, MultiDigraph, UEdgeId};
+use crate::{Arc, Dist, MultiDigraph, UEdgeId, UGraph};
 use std::collections::BTreeSet;
+
+/// What [`EdgeBatch::apply_in_place`] changed.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct AppliedEdits {
+    /// Sorted endpoints of removed or inserted arcs — the touched set of
+    /// [`EdgeBatch::apply`].
+    pub touched: Vec<u32>,
+    /// Pairs `(u, v)`, `u < v`, that lost their arcs, sorted.
+    pub deleted: Vec<(u32, u32)>,
+    /// Inserted edges `(u, v, weight, id)` in batch order, each with the
+    /// fresh undirected id its twin arcs share.
+    pub inserted: Vec<(u32, u32, Dist, UEdgeId)>,
+}
 
 /// A batch of undirected edge updates, applied deletions-first.
 ///
@@ -106,6 +119,54 @@ impl EdgeBatch {
     }
 }
 
+impl EdgeBatch {
+    /// Apply in place to `inst` and its communication graph `graph`
+    /// (`inst.comm_graph()`): the same arc order, undirected ids and
+    /// touched set as [`apply`](Self::apply), and the same graph as
+    /// `comm_graph` of the result, at the cost of the edited adjacency
+    /// lists rather than a rebuild of both structures.
+    pub fn apply_in_place(&self, inst: &mut MultiDigraph, graph: &mut UGraph) -> AppliedEdits {
+        let n = inst.n();
+        // Fresh ids continue past every id the instance held before the
+        // deletions, exactly as `apply` numbers them.
+        let mut next_uedge = inst.n_uedges() as u32;
+        let mut deleted: Vec<(u32, u32)> = inst
+            .remove_edges(&self.deletes)
+            .iter()
+            .map(|a| (a.src.min(a.dst), a.src.max(a.dst)))
+            .collect();
+        deleted.sort_unstable();
+        deleted.dedup();
+        for &(u, v) in &deleted {
+            graph.remove_edge(u, v);
+        }
+        let mut inserted = Vec::new();
+        for &(u, v, w) in &self.inserts {
+            if u == v || u as usize >= n || v as usize >= n {
+                continue;
+            }
+            let ue = UEdgeId(next_uedge);
+            next_uedge += 1;
+            inst.push_edge(u, v, w, ue);
+            graph.insert_edge(u, v);
+            inserted.push((u, v, w, ue));
+        }
+        let mut touched: Vec<u32> = deleted
+            .iter()
+            .map(|&(u, v)| [u, v])
+            .chain(inserted.iter().map(|&(u, v, ..)| [u, v]))
+            .flatten()
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        AppliedEdits {
+            touched,
+            deleted,
+            inserted,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,6 +209,35 @@ mod tests {
         let (out, touched) = batch.apply(&inst);
         assert!(touched.is_empty());
         assert_eq!(out.n_arcs(), inst.n_arcs());
+    }
+
+    /// The in-place apply equals `apply` + `comm_graph` on a sequence
+    /// that deletes fresh edges (the largest ids), parallel edges and
+    /// absent pairs, and inserts self-loops and duplicates.
+    #[test]
+    fn in_place_apply_matches_apply() {
+        let g = gen::grid(4, 4);
+        let mut inst = gen::with_random_weights(&g, 9, 2);
+        let mut graph = inst.comm_graph();
+        let mut reference = inst.clone();
+        let batches = [
+            EdgeBatch::new()
+                .insert(0, 15, 4)
+                .insert(3, 3, 1)
+                .insert(0, 1, 2),
+            EdgeBatch::new().delete(15, 0).delete(0, 5).insert(5, 10, 1),
+            EdgeBatch::new().delete(1, 0).delete(1, 0).insert(0, 1, 7),
+            EdgeBatch::new().delete(5, 10).delete(20, 1),
+            EdgeBatch::new(),
+        ];
+        for batch in &batches {
+            let (next, touched) = batch.apply(&reference);
+            let edits = batch.apply_in_place(&mut inst, &mut graph);
+            assert_eq!(edits.touched, touched);
+            assert_eq!(inst, next);
+            assert_eq!(graph, next.comm_graph());
+            reference = next;
+        }
     }
 
     #[test]

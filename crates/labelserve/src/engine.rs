@@ -15,7 +15,7 @@ use crate::lru::Lru;
 use crate::store::{LabelStore, StoreLayout};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use twgraph::Dist;
 
 /// Store compaction and serving knobs.
@@ -81,11 +81,29 @@ impl CacheStats {
     }
 }
 
+/// One shard's hot-pair cache. An entry holds the decoded distance and
+/// the epoch it was decoded at, which lets the epochs of a
+/// [`VersionedEngine`](crate::VersionedEngine) share one cache.
+pub(crate) type PairCache = Mutex<Lru<(u32, u32), (Dist, u64)>>;
+
+/// Empty caches for a store of `shards` shards.
+pub(crate) fn pair_caches(shards: usize, capacity: usize) -> Arc<[PairCache]> {
+    (0..shards)
+        .map(|_| Mutex::new(Lru::new(capacity)))
+        .collect()
+}
+
 /// A shared, thread-safe distance-query server over a compacted store.
 pub struct QueryEngine {
     store: LabelStore,
     cfg: ServeConfig,
-    pub(crate) caches: Vec<Mutex<Lru<(u32, u32), Dist>>>,
+    /// Per-shard caches, shared by every epoch of a versioned engine.
+    pub(crate) caches: Arc<[PairCache]>,
+    /// The epoch this engine answers for (0 for a standalone engine).
+    epoch: u64,
+    /// Per vertex, the last epoch whose publish changed its row: shared by
+    /// the epochs of a versioned engine, `None` for a standalone one.
+    pub(crate) changed: Option<Arc<[AtomicU64]>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -99,16 +117,48 @@ pub(crate) fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 impl QueryEngine {
     /// Engine over `store` with one LRU per shard.
     pub fn new(store: LabelStore, cfg: ServeConfig) -> Self {
-        let caches = (0..store.shard_count())
-            .map(|_| Mutex::new(Lru::new(cfg.cache_capacity)))
-            .collect();
+        let caches = pair_caches(store.shard_count(), cfg.cache_capacity);
+        QueryEngine::at_epoch(store, cfg, caches, 0, None)
+    }
+
+    /// Engine answering for `epoch` over caches and a change record
+    /// shared with the other epochs of a versioned engine.
+    pub(crate) fn at_epoch(
+        store: LabelStore,
+        cfg: ServeConfig,
+        caches: Arc<[PairCache]>,
+        epoch: u64,
+        changed: Option<Arc<[AtomicU64]>>,
+    ) -> Self {
         QueryEngine {
             store,
             cfg,
             caches,
+            epoch,
+            changed,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
+    }
+
+    /// Whether a distance decoded at epoch `at` is exact at this engine's
+    /// epoch. The decoder reads only the rows of `s` and `t` (and whether
+    /// they share a component, which a split or merge changes only by
+    /// dirtying every vertex of the components involved), so the value
+    /// holds while neither row changed between the two epochs. Called with
+    /// the shard's cache lock held: an entry of a newer epoch was inserted
+    /// under that lock after its publish recorded `changed`, so the record
+    /// is visible here.
+    fn exact_at(&self, s: u32, t: u32, at: u64) -> bool {
+        if at == self.epoch {
+            return true;
+        }
+        let Some(changed) = &self.changed else {
+            return false;
+        };
+        let since = at.min(self.epoch);
+        let unchanged = |v: u32| changed[v as usize].load(Ordering::Relaxed) <= since;
+        unchanged(s) && unchanged(t)
     }
 
     /// The underlying store.
@@ -150,14 +200,21 @@ impl QueryEngine {
             return Err(ServeError::UnknownNode { node: t, n });
         }
         let cache = &self.caches[self.store.shard_of(s)];
-        if let Some(d) = relock(cache).get(&(s, t)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(d);
+        {
+            let mut c = relock(cache);
+            if let Some((d, at)) = c.get(&(s, t)) {
+                if self.exact_at(s, t, at) {
+                    drop(c);
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(d);
+                }
+            }
         }
         let d = self.store.distance(s, t)?;
         // Insert first, count second: a thread that dies between decode
-        // and insert then contributes to neither cache nor counters.
-        relock(cache).insert((s, t), d);
+        // and insert then contributes to neither cache nor counters. The
+        // insert replaces an entry that is stale for this epoch.
+        relock(cache).insert((s, t), (d, self.epoch));
         self.misses.fetch_add(1, Ordering::Relaxed);
         Ok(d)
     }
@@ -188,11 +245,12 @@ impl QueryEngine {
         }
     }
 
-    /// Zero the hit/miss counters and drop every cached pair.
+    /// Zero the hit/miss counters and drop every cached pair (of every
+    /// epoch sharing the caches).
     pub fn reset(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-        for c in &self.caches {
+        for c in self.caches.iter() {
             relock(c).clear();
         }
     }

@@ -78,6 +78,22 @@ pub enum ServeError {
         /// The offending global vertex id.
         node: u32,
     },
+    /// A publish's dirty list is not strictly ascending:
+    /// `dirty[position]` does not exceed `dirty[position - 1]`. Rows and
+    /// shards are located by binary search over the list, so an unsorted
+    /// one would leave stale rows serving.
+    UnsortedDirtyList {
+        /// First offending index into the dirty list.
+        position: usize,
+    },
+    /// A rebuild was handed a component map whose length is not the
+    /// store's vertex count.
+    ComponentMapLength {
+        /// Length of the supplied map.
+        len: usize,
+        /// The store's vertex-space size.
+        n: usize,
+    },
     /// A packed segment failed structural validation (truncated sections,
     /// inconsistent CSR counts, or a body stream that decodes wrong) —
     /// raised when opening a persisted store file, never at query time.
@@ -135,6 +151,15 @@ impl fmt::Display for ServeError {
             ServeError::CorruptSegment { what } => {
                 write!(f, "corrupt packed segment: {what}")
             }
+            ServeError::UnsortedDirtyList { position } => {
+                write!(
+                    f,
+                    "dirty list not strictly ascending at position {position}"
+                )
+            }
+            ServeError::ComponentMapLength { len, n } => {
+                write!(f, "component map holds {len} entries for {n} nodes")
+            }
         }
     }
 }
@@ -178,5 +203,10 @@ mod tests {
         assert!(ServeError::CorruptSegment { what: "boom" }
             .to_string()
             .contains("boom"));
+        assert!(ServeError::UnsortedDirtyList { position: 5 }
+            .to_string()
+            .contains('5'));
+        let e = ServeError::ComponentMapLength { len: 3, n: 8 };
+        assert!(e.to_string().contains('3') && e.to_string().contains('8'));
     }
 }

@@ -221,7 +221,7 @@ impl LabelStore {
     /// [`StoreFileError::Io`] and leave no readable store behind
     /// (`open_mmap` rejects a truncated container).
     pub fn write_to(&self, path: impl AsRef<Path>) -> Result<(), StoreFileError> {
-        let shards = self.shards_data();
+        let shards = self.folded_shards()?;
         let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
         out.write_all(MAGIC)?;
         out.write_all(&VERSION.to_le_bytes())?;
@@ -246,13 +246,13 @@ impl LabelStore {
         // per-shard lengths, so the index streams out before any segment.
         let index_at = HEADER + 4 * self.n();
         let mut seg_off = (index_at + 16 * shards.len()) as u64;
-        for shard in shards {
+        for shard in &shards {
             let len = seg_len_of(shard) as u64;
             out.write_all(&seg_off.to_le_bytes())?;
             out.write_all(&len.to_le_bytes())?;
             seg_off += len;
         }
-        for shard in shards {
+        for shard in &shards {
             match shard {
                 ShardData::Flat(s) => {
                     out.write_all(&((s.offsets.len() - 1) as u32).to_le_bytes())?;
@@ -336,11 +336,10 @@ impl LabelStore {
             if seg_off < segs_at || seg_off.checked_add(seg_len).map_or(true, |end| end > len) {
                 return Err(fmt("shard segment outside the file"));
             }
-            let base = (s * shard_size) as u32;
             let nodes_expect = shard_size.min(n - (s * shard_size).min(n));
             let shard = match layout {
                 StoreLayout::Packed => {
-                    let p = PackedShard::from_segment(base, Arc::clone(&storage), seg_off)?;
+                    let p = PackedShard::from_segment(Arc::clone(&storage), seg_off)?;
                     p.validate()?;
                     if p.seg_len() != seg_len || p.nodes() != nodes_expect {
                         return Err(fmt("packed segment shape disagrees with the index"));
@@ -349,7 +348,7 @@ impl LabelStore {
                     ShardData::Packed(Arc::new(p))
                 }
                 StoreLayout::Flat => {
-                    let f = parse_flat(base, &bytes[seg_off..seg_off + seg_len])?;
+                    let f = parse_flat(&bytes[seg_off..seg_off + seg_len])?;
                     if f.offsets.len() != nodes_expect + 1 {
                         return Err(fmt("flat segment shape disagrees with the index"));
                     }
@@ -376,7 +375,7 @@ impl LabelStore {
 
 /// Parse one flat segment, copying the lanes into typed `Vec`s (see the
 /// module docs for why flat does not serve off the mapping).
-fn parse_flat(base: u32, seg: &[u8]) -> Result<FlatShard, StoreFileError> {
+fn parse_flat(seg: &[u8]) -> Result<FlatShard, StoreFileError> {
     let fmt = |what| StoreFileError::Format { what };
     if seg.len() < 8 {
         return Err(fmt("flat segment shorter than its header"));
@@ -414,7 +413,6 @@ fn parse_flat(base: u32, seg: &[u8]) -> Result<FlatShard, StoreFileError> {
             .collect()
     };
     Ok(FlatShard {
-        base,
         offsets,
         hubs,
         dto: dist_lane(dto_at),

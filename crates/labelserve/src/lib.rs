@@ -21,10 +21,11 @@
 //!   ([`lru`]) and rayon-parallel batch execution. Thread-safe by
 //!   construction; answers are bit-identical with the cache on or off.
 //! * [`versioned`] — [`VersionedEngine`] serves epoch-stamped snapshots:
-//!   queries keep flowing off epoch N while an updated labeling compacts
-//!   into epoch N+1 (clean shards shared by `Arc`, hot cache pairs carried
-//!   when both endpoints are untouched), then a single pointer swap
-//!   publishes.
+//!   queries keep flowing off epoch N while an updated labeling is
+//!   patched into epoch N+1 (dirty rows added to their shards' row
+//!   patches, everything else shared by `Arc`, the epoch-stamped hot-pair
+//!   caches shared and still valid for pairs of clean vertices), then a
+//!   single pointer swap publishes.
 //! * [`workload`] — seeded, replayable skewed query streams for the
 //!   scenario harness and the `serve` bench.
 //! * [`error`] — typed [`ServeError`]s (unknown node, store-partitioning

@@ -267,8 +267,6 @@ fn extract(data: &[u8], base: usize, j: usize, w: usize) -> u64 {
 /// segment, either heap-built or a window of a mapped store file.
 #[derive(Debug)]
 pub(crate) struct PackedShard {
-    /// First global vertex id of the shard's node range.
-    pub(crate) base: u32,
     nodes: usize,
     entries: usize,
     blocks: usize,
@@ -384,7 +382,6 @@ impl PackedShard {
         }
         buf.extend_from_slice(&data);
         Ok(PackedShard {
-            base,
             nodes,
             entries: entries_total,
             blocks,
@@ -397,11 +394,7 @@ impl PackedShard {
     /// View a serialized segment at `buf[seg..]` (e.g. inside a mapped
     /// store file) without copying. [`validate`](Self::validate) must pass
     /// before the shard serves queries.
-    pub(crate) fn from_segment(
-        base: u32,
-        buf: Arc<Storage>,
-        seg: usize,
-    ) -> Result<PackedShard, ServeError> {
+    pub(crate) fn from_segment(buf: Arc<Storage>, seg: usize) -> Result<PackedShard, ServeError> {
         let bytes = buf.as_slice();
         if seg + SEG_HEADER > bytes.len() {
             return Err(ServeError::CorruptSegment {
@@ -413,7 +406,6 @@ impl PackedShard {
         let blocks = u32_at(bytes, seg + 8) as usize;
         let data_len = u32_at(bytes, seg + 12) as usize;
         let shard = PackedShard {
-            base,
             nodes,
             entries,
             blocks,
@@ -488,6 +480,11 @@ impl PackedShard {
             data: &bytes[self.data_off()..self.data_off() + self.data_len],
             entries: e1 - e0,
         }
+    }
+
+    /// Entries of local row `local`.
+    pub(crate) fn row_len(&self, local: usize) -> usize {
+        self.row(local).entries
     }
 
     /// Decode one row back into materialized entries (tests, layout
@@ -1105,7 +1102,7 @@ mod tests {
         let mut bytes = shard.seg_bytes().to_vec();
         // Truncate: sections run past the buffer.
         let truncated = Arc::new(Storage::Heap(bytes[..bytes.len() - 1].to_vec()));
-        match PackedShard::from_segment(0, truncated, 0) {
+        match PackedShard::from_segment(truncated, 0) {
             Err(ServeError::CorruptSegment { .. }) => {}
             Ok(s) => assert!(matches!(
                 s.validate(),
@@ -1116,7 +1113,7 @@ mod tests {
         // Corrupt the entry count: CSR no longer sums.
         bytes[4] = 0xEE;
         let corrupt = Arc::new(Storage::Heap(bytes));
-        match PackedShard::from_segment(0, corrupt, 0) {
+        match PackedShard::from_segment(corrupt, 0) {
             Err(ServeError::CorruptSegment { .. }) => {}
             Ok(s) => assert!(matches!(
                 s.validate(),

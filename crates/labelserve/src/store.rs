@@ -36,6 +36,18 @@
 //! by construction — a cross pair decodes to [`INF`], matching the
 //! oracle's semantics for unreachable pairs — and lets the store
 //! additionally keep a component map for an O(1) early exit.
+//!
+//! ## Row patches
+//!
+//! An update changes a handful of labels, so [`LabelStore::rebuilt`] does
+//! not recompact the shards that hold them. Each shard is an `Arc`-shared
+//! base arena plus an optional *row patch*: the replaced rows, each a
+//! one-row segment in the store's layout, sorted by local row id. A lookup
+//! binary-searches the patch only when the shard has one, then decodes
+//! with the same kernels. Once a shard's patched entries would pass 1/8 of
+//! its base entries it is recompacted whole, which bounds the stale base
+//! rows kept alive and the patch search. The store file folds patches
+//! back in, so `LWLSTOR1` keeps one segment per shard.
 
 use crate::error::ServeError;
 use crate::packed::{decode_packed, PackedShard};
@@ -212,7 +224,7 @@ impl StoreBuilder {
             let hi = ((s + 1) * shard_size).min(self.n);
             let shard = compact_shard(s, base as u32, &self.entries[base..hi], layout)?;
             entries_total += shard.entries();
-            shards.push(shard);
+            shards.push(Shard::unpatched(shard));
         }
         Ok(LabelStore {
             n: self.n,
@@ -253,7 +265,6 @@ fn compact_shard(
                 offsets.push(checked_offset(index, hubs.len())?);
             }
             Ok(ShardData::Flat(Arc::new(FlatShard {
-                base,
                 offsets,
                 hubs,
                 dto,
@@ -266,16 +277,16 @@ fn compact_shard(
 /// One node-range shard's flat CSR arena.
 #[derive(Debug)]
 pub(crate) struct FlatShard {
-    pub(crate) base: u32,
     pub(crate) offsets: Vec<u32>,
     pub(crate) hubs: Vec<u32>,
     pub(crate) dto: Vec<Dist>,
     pub(crate) dfrom: Vec<Dist>,
 }
 
-/// One shard in whichever layout the store was compacted into. `Arc`ed so
-/// an epoch-to-epoch rebuild ([`LabelStore::rebuilt`]) shares clean
-/// shards with its predecessor instead of copying them.
+/// One compacted arena in whichever layout the store uses: a shard's
+/// base, or one patched row. `Arc`ed so an epoch-to-epoch rebuild
+/// ([`LabelStore::rebuilt`]) shares it with its predecessor instead of
+/// copying it.
 #[derive(Clone, Debug)]
 pub(crate) enum ShardData {
     /// Flat CSR lanes.
@@ -299,6 +310,22 @@ impl ShardData {
         match self {
             ShardData::Flat(s) => s.hubs.len() * FLAT_ENTRY_BYTES + s.offsets.len() * 4,
             ShardData::Packed(p) => p.seg_len(),
+        }
+    }
+
+    /// Rows held by this arena.
+    fn nodes(&self) -> usize {
+        match self {
+            ShardData::Flat(s) => s.offsets.len() - 1,
+            ShardData::Packed(p) => p.nodes(),
+        }
+    }
+
+    /// Entries of local row `local`.
+    fn row_len(&self, local: usize) -> usize {
+        match self {
+            ShardData::Flat(s) => (s.offsets[local + 1] - s.offsets[local]) as usize,
+            ShardData::Packed(p) => p.row_len(local),
         }
     }
 
@@ -326,6 +353,149 @@ impl ShardData {
     }
 }
 
+/// Patched entries above `1 / FOLD_DENOMINATOR` of a shard's base entries
+/// make [`LabelStore::rebuilt`] recompact the shard whole instead. This
+/// bounds the stale base rows a patch keeps alive and the patch lookup.
+const FOLD_DENOMINATOR: usize = 8;
+
+/// Rows of one shard replaced since its base arena was compacted: each a
+/// one-row segment in the store's layout, sorted by local row id.
+#[derive(Debug)]
+pub(crate) struct RowPatch {
+    rows: Vec<u32>,
+    segs: Vec<ShardData>,
+    /// Label entries held by `segs`.
+    entries: usize,
+    /// Entries of the base rows that `rows` shadow.
+    shadowed: usize,
+}
+
+/// One node-range shard: a base arena plus, once updates have replaced
+/// some of its rows, a [`RowPatch`]. Both halves are `Arc`ed, so an epoch
+/// shares with its predecessor whatever a publish did not touch.
+#[derive(Clone, Debug)]
+pub(crate) struct Shard {
+    base: ShardData,
+    patch: Option<Arc<RowPatch>>,
+}
+
+impl Shard {
+    fn unpatched(base: ShardData) -> Shard {
+        Shard { base, patch: None }
+    }
+
+    /// The segment and local row serving local row `local`: its patch
+    /// version if it has one (a binary search, taken only by patched
+    /// shards), else the base row.
+    #[inline]
+    fn row(&self, local: usize) -> (&ShardData, usize) {
+        if let Some(p) = &self.patch {
+            if let Ok(i) = p.rows.binary_search(&(local as u32)) {
+                return (&p.segs[i], 0);
+            }
+        }
+        (&self.base, local)
+    }
+
+    /// Label entries served by this shard (patched rows count their new
+    /// version only).
+    fn entries(&self) -> usize {
+        let patch = self.patch.as_deref();
+        self.base.entries() + patch.map_or(0, |p| p.entries) - patch.map_or(0, |p| p.shadowed)
+    }
+
+    /// Base arena bytes plus patch segments and row ids.
+    fn bytes(&self) -> usize {
+        self.base.bytes()
+            + self.patch.as_deref().map_or(0, |p| {
+                p.segs.iter().map(ShardData::bytes).sum::<usize>() + 4 * p.rows.len()
+            })
+    }
+
+    /// Same base arena and same patch as `other`?
+    fn ptr_eq(&self, other: &Shard) -> bool {
+        self.base.ptr_eq(&other.base)
+            && match (&self.patch, &other.patch) {
+                (None, None) => true,
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            }
+    }
+
+    /// The shard as one arena with its patch folded in (what a store file
+    /// persists).
+    fn folded(
+        &self,
+        index: usize,
+        base: u32,
+        layout: StoreLayout,
+    ) -> Result<ShardData, ServeError> {
+        if self.patch.is_none() {
+            return Ok(self.base.clone());
+        }
+        let rows: Vec<Vec<(u32, Dist, Dist)>> = (0..self.base.nodes())
+            .map(|local| {
+                let (seg, l) = self.row(local);
+                seg.row_vec(l)
+            })
+            .collect();
+        compact_shard(index, base, &rows, layout)
+    }
+
+    /// This shard (index `index`, global rows `lo..lo + nodes`) with the
+    /// rows of `dirty` (sorted global ids inside it) replaced by
+    /// `entries_of`. The new rows join the patch, superseding older
+    /// versions, and only the patch's row pointers are copied; a patch
+    /// that would pass the fold bound is dropped for a full recompaction.
+    fn patched(
+        &self,
+        index: usize,
+        lo: u32,
+        dirty: &[u32],
+        entries_of: &impl Fn(u32) -> Vec<(u32, Dist, Dist)>,
+        layout: StoreLayout,
+    ) -> Result<Shard, ServeError> {
+        let fresh: Vec<Vec<(u32, Dist, Dist)>> = dirty.iter().map(|&v| entries_of(v)).collect();
+        let mut rows: Vec<(u32, ShardData)> = Vec::new();
+        if let Some(p) = &self.patch {
+            rows.extend(
+                p.rows
+                    .iter()
+                    .zip(&p.segs)
+                    .filter(|(&r, _)| dirty.binary_search(&(lo + r)).is_err())
+                    .map(|(&r, seg)| (r, seg.clone())),
+            );
+        }
+        for (&v, row) in dirty.iter().zip(&fresh) {
+            let seg = compact_shard(index, v, std::slice::from_ref(row), layout)?;
+            rows.push((v - lo, seg));
+        }
+        rows.sort_unstable_by_key(|r| r.0);
+        let entries: usize = rows.iter().map(|r| r.1.entries()).sum();
+        if entries * FOLD_DENOMINATOR > self.base.entries() {
+            let mut fresh = dirty.iter().zip(fresh).peekable();
+            let all: Vec<Vec<(u32, Dist, Dist)>> = (lo..lo + self.base.nodes() as u32)
+                .map(|v| match fresh.next_if(|&(&d, _)| d == v) {
+                    Some((_, row)) => row,
+                    None => entries_of(v),
+                })
+                .collect();
+            return Ok(Shard::unpatched(compact_shard(index, lo, &all, layout)?));
+        }
+        let shadowed = rows.iter().map(|r| self.base.row_len(r.0 as usize)).sum();
+        let (rows, segs) = rows.into_iter().unzip();
+        Ok(Shard {
+            base: self.base.clone(),
+            patch: Some(Arc::new(RowPatch {
+                rows,
+                segs,
+                entries,
+                shadowed,
+            })),
+        })
+    }
+}
+
 /// The compacted, sharded distance-label store. Immutable after build;
 /// shared freely across query threads. Built in memory by
 /// [`StoreBuilder`], or opened from a persisted store file by
@@ -335,7 +505,7 @@ pub struct LabelStore {
     n: usize,
     shard_size: usize,
     comp_of: Vec<u32>,
-    shards: Vec<ShardData>,
+    shards: Vec<Shard>,
     entries_total: usize,
     components: usize,
     layout: StoreLayout,
@@ -371,7 +541,7 @@ impl LabelStore {
             n,
             shard_size,
             comp_of,
-            shards,
+            shards: shards.into_iter().map(Shard::unpatched).collect(),
             entries_total,
             components,
             layout,
@@ -409,9 +579,20 @@ impl LabelStore {
     }
 
     /// Arena footprint in bytes: per-shard arenas (lanes + offsets for
-    /// flat, whole segments for packed) plus the component map.
+    /// flat, whole segments for packed), row patches, and the component
+    /// map.
     pub fn bytes(&self) -> usize {
-        self.shards.iter().map(ShardData::bytes).sum::<usize>() + self.comp_of.len() * 4
+        self.shards.iter().map(Shard::bytes).sum::<usize>() + self.comp_of.len() * 4
+    }
+
+    /// Rows of shard `s` served from its row patch, i.e. replaced by
+    /// [`rebuilt`](Self::rebuilt) since the shard was last compacted
+    /// (0 for an out-of-range shard).
+    pub fn patched_rows(&self, s: usize) -> usize {
+        self.shards
+            .get(s)
+            .and_then(|sh| sh.patch.as_deref())
+            .map_or(0, |p| p.rows.len())
     }
 
     /// Component id of `v`.
@@ -427,9 +608,14 @@ impl LabelStore {
         &self.comp_of
     }
 
-    /// The shards (for persistence).
-    pub(crate) fn shards_data(&self) -> &[ShardData] {
-        &self.shards
+    /// Each shard as one arena with its row patch folded in (for
+    /// persistence, which keeps one segment per shard).
+    pub(crate) fn folded_shards(&self) -> Result<Vec<ShardData>, ServeError> {
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(s, sh)| sh.folded(s, (s * self.shard_size) as u32, self.layout))
+            .collect()
     }
 
     /// The shard index owning node `v` (valid ids only).
@@ -437,9 +623,9 @@ impl LabelStore {
         v as usize / self.shard_size
     }
 
-    /// `(hubs, d(v → hub), d(hub → v))` lanes of node `v` in a flat shard.
-    fn flat_lanes(shard: &FlatShard, v: u32) -> (&[u32], &[Dist], &[Dist]) {
-        let local = (v - shard.base) as usize;
+    /// `(hubs, d(v → hub), d(hub → v))` lanes of local row `local` in a
+    /// flat arena.
+    fn flat_lanes(shard: &FlatShard, local: usize) -> (&[u32], &[Dist], &[Dist]) {
         let (lo, hi) = (
             shard.offsets[local] as usize,
             shard.offsets[local + 1] as usize,
@@ -465,28 +651,27 @@ impl LabelStore {
         if self.comp_of[s as usize] != self.comp_of[t as usize] {
             return Ok(INF);
         }
-        let (sa, sb) = (
-            &self.shards[self.shard_of(s)],
-            &self.shards[self.shard_of(t)],
-        );
+        let ((sa, ls), (sb, lt)) = (self.row_of(s), self.row_of(t));
         match (sa, sb) {
             (ShardData::Flat(a), ShardData::Flat(b)) => {
-                let (sh, sto, _) = Self::flat_lanes(a, s);
-                let (th, _, tfrom) = Self::flat_lanes(b, t);
+                let (sh, sto, _) = Self::flat_lanes(a, ls);
+                let (th, _, tfrom) = Self::flat_lanes(b, lt);
                 Ok(decode_lanes(sh, sto, th, tfrom))
             }
-            (ShardData::Packed(a), ShardData::Packed(b)) => Ok(decode_packed(
-                &a.row((s - a.base) as usize),
-                &b.row((t - b.base) as usize),
-            )),
+            (ShardData::Packed(a), ShardData::Packed(b)) => {
+                Ok(decode_packed(&a.row(ls), &b.row(lt)))
+            }
             // A store never mixes layouts today; decode via materialized
             // rows so the answer stays exact if one ever does.
-            (a, b) => {
-                let ra = a.row_vec((s as usize) % self.shard_size.max(1));
-                let rb = b.row_vec((t as usize) % self.shard_size.max(1));
-                Ok(distlabel::decode_entries(&ra, &rb))
-            }
+            (a, b) => Ok(distlabel::decode_entries(&a.row_vec(ls), &b.row_vec(lt))),
         }
+    }
+
+    /// The arena and local row serving valid vertex `v`.
+    #[inline]
+    fn row_of(&self, v: u32) -> (&ShardData, usize) {
+        let s = self.shard_of(v);
+        self.shards[s].row(v as usize - s * self.shard_size)
     }
 
     /// Both directions at once: `(d(s → t), d(t → s))`.
@@ -494,9 +679,10 @@ impl LabelStore {
         Ok((self.distance(s, t)?, self.distance(t, s)?))
     }
 
-    /// How many shard arenas `self` physically shares with `other`
-    /// (same `Arc` allocation) — the epoch-versioning tests pin that a
-    /// partial rebuild copies only dirty shards.
+    /// How many shards `self` physically shares with `other` — the same
+    /// base arena and the same row patch (`Arc` identity). The
+    /// epoch-versioning tests pin that a partial rebuild copies only dirty
+    /// shards.
     pub fn shards_shared_with(&self, other: &LabelStore) -> usize {
         self.shards
             .iter()
@@ -505,57 +691,59 @@ impl LabelStore {
             .count()
     }
 
-    /// True when no vertex of shard `s` appears in the sorted `dirty` list.
-    pub fn shard_clean(&self, s: usize, dirty: &[u32]) -> bool {
-        let lo = (s * self.shard_size) as u32;
-        let hi = (((s + 1) * self.shard_size).min(self.n)) as u32;
-        let start = dirty.partition_point(|&v| v < lo);
-        !(start < dirty.len() && dirty[start] < hi)
-    }
-
-    /// The next epoch's store: shards containing a vertex of `dirty`
-    /// (sorted global ids) are recompacted from `entries_of` (global-hub
-    /// entry list per vertex, sorted by hub) **in the store's own
-    /// layout**; clean shards share their arena with `self` via `Arc`.
+    /// The next epoch's store: the rows of `dirty` (strictly ascending
+    /// global ids) take new entries from `entries_of` (global-hub entry
+    /// list per vertex, sorted by hub) **in the store's own layout**, and
+    /// every other row is shared with `self`. `entries_of` runs once per
+    /// dirty vertex: its row joins the shard's row patch, and only the
+    /// patch's row pointers are copied. A shard whose patched entries
+    /// would pass 1/8 of its base entries is recompacted whole instead,
+    /// which also runs `entries_of` for its clean rows. Shards with no
+    /// dirty vertex share their arena and patch via `Arc`.
+    ///
     /// `comp_of` is the updated component map — always replaced, since
-    /// component renumbering is cheap and the INF early-exit must track
-    /// the post-update component structure. The component count is the
-    /// number of **distinct** ids in the new map (ids are non-dense after
-    /// update-driven splits and merges).
+    /// the INF early-exit must track the post-update component structure.
+    /// The component count is the number of **distinct** ids in the new
+    /// map (ids are non-dense after update-driven splits and merges).
+    ///
+    /// Typed errors, checked before anything is built: a `comp_of` of the
+    /// wrong length, a `dirty` list that is not strictly ascending, and a
+    /// dirty id outside `0..n`.
     pub fn rebuilt(
         &self,
         dirty: &[u32],
         comp_of: Vec<u32>,
         entries_of: impl Fn(u32) -> Vec<(u32, Dist, Dist)>,
     ) -> Result<LabelStore, ServeError> {
-        debug_assert_eq!(comp_of.len(), self.n);
-        if let Some(&v) = dirty.iter().find(|&&v| v as usize >= self.n) {
+        if comp_of.len() != self.n {
+            return Err(ServeError::ComponentMapLength {
+                len: comp_of.len(),
+                n: self.n,
+            });
+        }
+        if let Some(i) = dirty.windows(2).position(|w| w[0] >= w[1]) {
+            return Err(ServeError::UnsortedDirtyList { position: i + 1 });
+        }
+        if let Some(&v) = dirty.last().filter(|&&v| v as usize >= self.n) {
             return Err(ServeError::UnknownNode { node: v, n: self.n });
         }
-        let mut shards = Vec::with_capacity(self.shards.len());
-        let mut entries_total = 0usize;
-        for (s, old) in self.shards.iter().enumerate() {
-            if self.shard_clean(s, dirty) {
-                entries_total += old.entries();
-                shards.push(old.clone());
-                continue;
-            }
-            let base = s * self.shard_size;
-            let hi = ((s + 1) * self.shard_size).min(self.n);
-            let rows: Vec<Vec<(u32, Dist, Dist)>> =
-                (base..hi).map(|v| entries_of(v as u32)).collect();
-            let shard = compact_shard(s, base as u32, &rows, self.layout)?;
-            entries_total += shard.entries();
-            shards.push(shard);
+        let mut shards = self.shards.clone();
+        let mut rest = dirty;
+        while let Some(&v) = rest.first() {
+            let s = self.shard_of(v);
+            let lo = s * self.shard_size;
+            let (here, tail) =
+                rest.split_at(rest.partition_point(|&u| (u as usize) < lo + self.shard_size));
+            shards[s] = self.shards[s].patched(s, lo as u32, here, &entries_of, self.layout)?;
+            rest = tail;
         }
-        let components = distinct_components(&comp_of);
         Ok(LabelStore {
             n: self.n,
             shard_size: self.shard_size,
+            entries_total: shards.iter().map(Shard::entries).sum(),
+            components: distinct_components(&comp_of),
             comp_of,
             shards,
-            entries_total,
-            components,
             layout: self.layout,
         })
     }
@@ -788,6 +976,90 @@ mod tests {
                     .unwrap_err(),
                 ServeError::UnknownNode { node: 7, n: 4 }
             );
+        }
+    }
+
+    /// Regression: `rebuilt` located dirty shards by binary search over a
+    /// list it never checked, so `[3, 0]` left shard 0 "clean" and vertex
+    /// 0's old row serving. A list that is not strictly ascending is now
+    /// a typed error in every build profile.
+    #[test]
+    fn rebuilt_rejects_unsorted_dirty_lists() {
+        let s = tiny_store(2);
+        let comp_of = || (0..4).map(|v| s.comp_of(v).unwrap()).collect::<Vec<u32>>();
+        for (dirty, position) in [(vec![3, 0], 1), (vec![0, 2, 2], 2), (vec![1, 1], 1)] {
+            assert_eq!(
+                s.rebuilt(&dirty, comp_of(), |_| unreachable!()).map(|_| ()),
+                Err(ServeError::UnsortedDirtyList { position })
+            );
+        }
+    }
+
+    /// Regression: the component-map length was only a `debug_assert!`, so
+    /// release builds stored a short map (index panics in `distance`) or a
+    /// long one. Both are typed errors now, in every build profile.
+    #[test]
+    fn rebuilt_rejects_a_wrong_length_component_map() {
+        let s = tiny_store(2);
+        for len in [3, 5] {
+            assert_eq!(
+                s.rebuilt(&[0], vec![0; len], |_| unreachable!())
+                    .map(|_| ()),
+                Err(ServeError::ComponentMapLength { len, n: 4 })
+            );
+        }
+    }
+
+    /// A dirty row lands in its shard's patch; the base arena stays shared
+    /// with the previous store, a second update supersedes the patched row,
+    /// and a patch past 1/8 of the base entries folds into a fresh arena.
+    #[test]
+    fn rebuilt_patches_rows_then_folds() {
+        for layout in [StoreLayout::Flat, StoreLayout::Packed] {
+            // 64 rows of 16 entries: a patch holds up to 128 entries.
+            let n = 64u32;
+            let row = |v: u32, bump: u64| -> Vec<(u32, Dist, Dist)> {
+                (0..16)
+                    .map(|h| (h * 4, u64::from(v + h) + bump, 7))
+                    .collect()
+            };
+            let labels: Vec<Label> = (0..n)
+                .map(|v| {
+                    let mut l = Label::new(v);
+                    for (h, to, from) in row(v, 0) {
+                        l.merge(h, to, from);
+                    }
+                    l
+                })
+                .collect();
+            let mut b = StoreBuilder::new(n as usize);
+            b.add_component(&labels, &(0..n).collect::<Vec<_>>())
+                .unwrap();
+            let s0 = b.build_layout(n as usize, layout).unwrap();
+            let comp_of = || vec![0u32; n as usize];
+            let s1 = s0.rebuilt(&[3, 9], comp_of(), |v| row(v, 100)).unwrap();
+            assert_eq!(s1.patched_rows(0), 2);
+            assert_eq!(s1.entries(), s0.entries());
+            assert_eq!(s1.shards_shared_with(&s0), 0, "the patch is new");
+            assert_eq!(s1.distance(3, 0).unwrap(), 100 + 3 + 7);
+            assert_eq!(s1.distance(0, 9).unwrap(), 7);
+            let s2 = s1.rebuilt(&[9], comp_of(), |v| row(v, 200)).unwrap();
+            assert_eq!(s2.patched_rows(0), 2, "row 9 is superseded, not added");
+            assert_eq!(s2.distance(9, 1).unwrap(), 200 + 9 + 7);
+            let same = s2.rebuilt(&[], comp_of(), |_| unreachable!()).unwrap();
+            assert_eq!(same.shards_shared_with(&s2), 1, "base and patch shared");
+            // Eight more rows pass 128 patched entries: the shard folds.
+            let s3 = s2
+                .rebuilt(&(20..30).collect::<Vec<_>>(), comp_of(), |v| row(v, 300))
+                .unwrap();
+            assert_eq!(s3.patched_rows(0), 0);
+            assert_eq!(s3.distance(25, 1).unwrap(), 300 + 25 + 7);
+            assert_eq!(
+                s3.distance(9, 1).unwrap(),
+                300 + 9 + 7,
+                "fold rereads every row"
+            );
+            assert!(s3.bytes() < s2.bytes() + 16 * 20 * 8);
         }
     }
 

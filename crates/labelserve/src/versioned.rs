@@ -12,16 +12,21 @@
 //! no instant at which queries cannot be served.
 //!
 //! Epoch-to-epoch work is confined to what actually changed:
-//! [`publish_from`](VersionedEngine::publish_from) recompacts only the
-//! shards containing a dirty vertex ([`LabelStore::rebuilt`] shares every
-//! clean shard's arena via `Arc`) and carries cached hot pairs forward
-//! when both endpoints live in clean shards — distances between untouched
-//! parts are provably unchanged, so warm cache entries stay exact.
+//! [`publish_from`](VersionedEngine::publish_from) patches the rows of
+//! dirty vertices into their shards ([`LabelStore::rebuilt`] shares every
+//! other row via `Arc`) and records, per dirty vertex, the epoch that
+//! changed it. The hot-pair caches are shared by all epochs, each entry
+//! stamped with the epoch it was decoded at: an entry answers for another
+//! epoch when neither endpoint's row changed in between, since its answer
+//! reads only those two rows. So a cached pair with two clean endpoints
+//! carries into the next epoch, exactly, and one with a dirty endpoint
+//! does not — with no copy of the cache and no scan of it at publish.
 
-use crate::engine::{relock, QueryEngine, ServeConfig};
+use crate::engine::{pair_caches, QueryEngine, ServeConfig};
 use crate::error::ServeError;
 use crate::store::LabelStore;
 use distlabel::DynamicLabeling;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 use twgraph::Dist;
@@ -54,15 +59,14 @@ impl Epoch {
 pub struct PublishStats {
     /// The epoch that became current.
     pub epoch: u64,
-    /// Wall time of store rebuild + cache carry + swap, in microseconds.
-    /// (Queries were served off the previous epoch throughout.)
+    /// Wall time of store rebuild + swap, in microseconds. (Queries were
+    /// served off the previous epoch throughout.)
     pub publish_us: u64,
-    /// Shards recompacted for this epoch.
+    /// Shards holding a dirty vertex (patched or recompacted for this
+    /// epoch).
     pub dirty_shards: usize,
     /// Total shards in the store.
     pub total_shards: usize,
-    /// Hot-pair cache entries carried over from the previous epoch.
-    pub carried_pairs: usize,
 }
 
 /// An epoch-versioned [`QueryEngine`]: swap-published snapshots with
@@ -86,13 +90,20 @@ fn store_of(labeling: &DynamicLabeling, cfg: &ServeConfig) -> Result<LabelStore,
     b.build_layout(cfg.shard_size, cfg.layout)
 }
 
+/// An engine at `epoch` with empty caches and no recorded changes.
+fn fresh_engine(store: LabelStore, cfg: ServeConfig, epoch: u64) -> QueryEngine {
+    let caches = pair_caches(store.shard_count(), cfg.cache_capacity);
+    let changed = (0..store.n()).map(|_| AtomicU64::new(0)).collect();
+    QueryEngine::at_epoch(store, cfg, caches, epoch, Some(changed))
+}
+
 impl VersionedEngine {
     /// Version an already-compacted store as epoch 0.
     pub fn new(store: LabelStore, cfg: ServeConfig) -> Self {
         VersionedEngine {
             current: RwLock::new(Arc::new(Epoch {
                 epoch: 0,
-                engine: QueryEngine::new(store, cfg),
+                engine: fresh_engine(store, cfg, 0),
             })),
             cfg,
         }
@@ -131,7 +142,7 @@ impl VersionedEngine {
         self.snapshot().engine.batch(queries)
     }
 
-    /// Publish a fully rebuilt store as the next epoch (no cache carry).
+    /// Publish a fully rebuilt store as the next epoch, with fresh caches.
     pub fn publish(&self, store: LabelStore) -> PublishStats {
         let t = Instant::now();
         let total_shards = store.shard_count();
@@ -139,23 +150,26 @@ impl VersionedEngine {
         let epoch = cur.epoch + 1;
         *cur = Arc::new(Epoch {
             epoch,
-            engine: QueryEngine::new(store, self.cfg),
+            engine: fresh_engine(store, self.cfg, epoch),
         });
         PublishStats {
             epoch,
             publish_us: t.elapsed().as_micros() as u64,
             dirty_shards: total_shards,
             total_shards,
-            carried_pairs: 0,
         }
     }
 
-    /// Publish the next epoch from an updated labeling: recompact only the
-    /// shards containing a vertex of `dirty` (sorted global ids — a
-    /// [`distlabel::UpdateReport::dirty`] list), share every clean shard
-    /// with the current epoch, and carry hot cache pairs whose endpoints
-    /// both live in clean shards. The store rebuild runs outside any lock;
-    /// in-flight snapshots keep answering at their epoch throughout.
+    /// Publish the next epoch from an updated labeling. `dirty` is the
+    /// strictly ascending list of global ids whose labels may have changed
+    /// (a [`distlabel::UpdateReport::dirty`] list): their rows are patched
+    /// into the next store and every other row is shared with the current
+    /// epoch ([`LabelStore::rebuilt`]). The new epoch shares the hot-pair
+    /// caches, and records itself as the epoch that changed each dirty
+    /// vertex: cached pairs with two clean endpoints keep answering,
+    /// exactly, and pairs with a dirty endpoint miss once and are decoded
+    /// afresh. The rebuild runs outside the epoch lock; in-flight
+    /// snapshots keep answering at their epoch throughout.
     pub fn publish_from(
         &self,
         labeling: &DynamicLabeling,
@@ -163,51 +177,45 @@ impl VersionedEngine {
     ) -> Result<PublishStats, ServeError> {
         let t = Instant::now();
         let prev = self.snapshot();
-        let old_store = prev.engine.store();
-        let store = old_store.rebuilt(dirty, labeling.comp_of().to_vec(), |v| {
-            labeling.label_entries_global(v)
-        })?;
-        let dirty_shards = (0..store.shard_count())
-            .filter(|&s| !old_store.shard_clean(s, dirty))
-            .count();
+        let store = prev
+            .engine
+            .store()
+            .rebuilt(dirty, labeling.comp_of().to_vec(), |v| {
+                labeling.label_entries_global(v)
+            })?;
+        let mut dirty_shards: Vec<usize> = dirty.iter().map(|&v| store.shard_of(v)).collect();
+        dirty_shards.dedup();
         let total_shards = store.shard_count();
-        let engine = QueryEngine::new(store, self.cfg);
-        let mut carried = 0usize;
-        if self.cfg.cache_capacity > 0 {
-            for (s, old_cache) in prev.engine.caches.iter().enumerate() {
-                if !old_store.shard_clean(s, dirty) {
-                    continue;
-                }
-                let old_cache = relock(old_cache);
-                let mut new_cache = relock(&engine.caches[s]);
-                for (&(a, b), &d) in old_cache.iter() {
-                    if old_store.shard_clean(old_store.shard_of(b), dirty) {
-                        new_cache.insert((a, b), d);
-                        carried += 1;
-                    }
-                }
-            }
-        }
+        let changed = prev.engine.changed.clone();
+        let changed = changed.expect("every epoch of a versioned engine records changes");
         let mut cur = relock_write(&self.current);
         let epoch = cur.epoch + 1;
+        // Relaxed: releasing the epoch lock publishes these stores to every
+        // reader of the new epoch, and a reader of an older epoch loads
+        // them under a shard cache lock, after any entry that depends on
+        // them was inserted under it.
+        for &v in dirty {
+            changed[v as usize].store(epoch, Ordering::Relaxed);
+        }
+        let caches = Arc::clone(&prev.engine.caches);
+        let engine = QueryEngine::at_epoch(store, self.cfg, caches, epoch, Some(changed));
         *cur = Arc::new(Epoch { epoch, engine });
         Ok(PublishStats {
             epoch,
             publish_us: t.elapsed().as_micros() as u64,
-            dirty_shards,
+            dirty_shards: dirty_shards.len(),
             total_shards,
-            carried_pairs: carried,
         })
     }
 }
 
-/// Read-lock recovery twin of [`relock`]: a panicking publisher leaves the
+/// Read-lock recovery twin of [`relock`](crate::engine::relock): a panicking publisher leaves the
 /// previous (complete) epoch in place, so the state is always valid.
 fn relock_read<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Write-lock recovery twin of [`relock`].
+/// Write-lock recovery twin of [`relock`](crate::engine::relock).
 fn relock_write<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -282,24 +290,81 @@ mod tests {
         assert_eq!(shared, stats.total_shards - stats.dirty_shards);
     }
 
+    /// The carry rule is per vertex: a warm pair whose endpoints are both
+    /// clean stays warm (and answers exactly) even when a dirty vertex
+    /// shares its shard; a pair with a dirty endpoint starts cold.
     #[test]
-    fn cache_carry_is_confined_to_clean_shards() {
+    fn cache_carry_keeps_pairs_of_clean_vertices() {
         let (mut labeling, eng) = versioned(240);
-        // Warm the epoch-0 cache at both ends of the path.
-        for _ in 0..4 {
-            eng.distance(200, 239).unwrap();
-            eng.distance(3, 5).unwrap();
-        }
+        // Apply first: epoch 0 keeps serving until the publish, so the
+        // cache can be warmed knowing which vertices the batch dirtied.
         let rep = labeling.apply(&EdgeBatch::new().insert(2, 4, 1)).unwrap();
-        let stats = eng.publish_from(&labeling, &rep.dirty).unwrap();
-        assert!(stats.carried_pairs >= 1, "clean hot pair must carry over");
+        let dirty = &rep.dirty;
+        let size = eng.config().shard_size as u32;
+        // A dirty vertex and two clean ones in its shard.
+        let (d, a, b) = dirty
+            .iter()
+            .find_map(|&d| {
+                let lo = d / size * size;
+                let mut clean = (lo..lo + size).filter(|v| dirty.binary_search(v).is_err());
+                Some((d, clean.next()?, clean.next()?))
+            })
+            .expect("a dirty shard with clean rows");
+        eng.distance(a, b).unwrap();
+        eng.distance(d, b).unwrap();
+        eng.distance(a, d).unwrap();
+        eng.publish_from(&labeling, dirty).unwrap();
         let snap = eng.snapshot();
-        // Carried entries answer exactly (cache hit or not).
+        assert_eq!(snap.distance(a, b).unwrap(), labeling.distance(a, b));
+        assert_eq!(snap.engine().stats().hits, 1, "the clean pair is warm");
+        assert_eq!(snap.distance(d, b).unwrap(), labeling.distance(d, b));
+        assert_eq!(snap.distance(a, d).unwrap(), labeling.distance(a, d));
+        assert_eq!(snap.engine().stats().misses, 2, "dirty pairs start cold");
+    }
+
+    /// Epochs share the caches, so a pair whose row changed is cached by
+    /// one epoch and read by another: each must still answer its own
+    /// value, however the entry ping-pongs between a pinned old epoch and
+    /// the current one.
+    #[test]
+    fn shared_cache_answers_each_epoch_exactly() {
+        let (mut labeling, eng) = versioned(120);
+        let old = eng.snapshot();
+        let before = labeling.distance(0, 119);
+        assert_eq!(old.distance(0, 119).unwrap(), before);
+        let rep = labeling.apply(&EdgeBatch::new().insert(0, 119, 1)).unwrap();
+        assert!(rep.dirty.binary_search(&0).is_ok());
+        eng.publish_from(&labeling, &rep.dirty).unwrap();
+        let new = eng.snapshot();
+        let after = labeling.distance(0, 119);
+        assert_ne!(before, after, "the batch must change the pair");
+        for _ in 0..3 {
+            assert_eq!(new.distance(0, 119).unwrap(), after);
+            assert_eq!(old.distance(0, 119).unwrap(), before);
+        }
+        // Each read finds the other epoch's entry, rejects it and decodes.
+        assert_eq!(new.engine().stats().hits, 0);
+        assert_eq!(old.engine().stats().hits, 0);
+        assert_eq!(old.engine().stats().misses, 4);
+    }
+
+    /// Regression: an unsorted dirty list used to be binary-searched as if
+    /// sorted, leaving dirty shards treated as clean and stale rows
+    /// serving. It is a typed error now, and nothing is published.
+    #[test]
+    fn unsorted_dirty_list_is_rejected() {
+        let (mut labeling, eng) = versioned(120);
+        let rep = labeling.apply(&EdgeBatch::new().delete(0, 1)).unwrap();
+        let mut reversed = rep.dirty.clone();
+        reversed.reverse();
+        assert!(reversed.len() >= 2);
         assert_eq!(
-            snap.distance(200, 239).unwrap(),
-            labeling.distance(200, 239)
+            eng.publish_from(&labeling, &reversed).map(|_| ()),
+            Err(ServeError::UnsortedDirtyList { position: 1 })
         );
-        assert_eq!(snap.distance(3, 5).unwrap(), labeling.distance(3, 5));
+        assert_eq!(eng.epoch(), 0, "a rejected list publishes nothing");
+        eng.publish_from(&labeling, &rep.dirty).unwrap();
+        assert_eq!(eng.distance(0, 119).unwrap(), labeling.distance(0, 119));
     }
 
     /// Regression (issue 7): ids ≥ n must come back as typed errors —
