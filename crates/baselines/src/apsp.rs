@@ -34,6 +34,7 @@ pub fn apsp_pipelined_distributed(net: &mut Network) -> Result<(Vec<Vec<u32>>, u
         })
         .collect();
 
+    let all: Vec<u32> = (0..n as u32).collect();
     let guard = 8 * (n as u64 + 2) * (n as u64 + 2);
     let mut steps = 0u64;
     loop {
@@ -45,7 +46,8 @@ pub fn apsp_pipelined_distributed(net: &mut Network) -> Result<(Vec<Vec<u32>>, u
             return Err(CongestError::SuperstepBudget { limit: guard });
         }
         steps += 1;
-        net.superstep(
+        net.superstep_on(
+            &all,
             &mut states,
             |u, s: &ApspState| {
                 let mut out = Vec::new();
@@ -102,5 +104,28 @@ mod tests {
         let mut net = Network::new(g, NetworkConfig::default());
         let (_, rounds) = apsp_pipelined_distributed(&mut net).unwrap();
         assert!(rounds >= n / 2, "rounds = {rounds}, n = {n}");
+    }
+
+    #[test]
+    fn charged_metrics_are_pinned() {
+        // Exact charges of the flood: (rounds, supersteps, messages, words,
+        // peak per-edge words in one superstep).
+        for (g, want) in [
+            (grid(4, 5), (46, 23, 1274, 2548, 2)),
+            (bit_gadget(4), (84, 42, 11152, 22304, 2)),
+        ] {
+            let mut net = Network::new(g, NetworkConfig::default());
+            let (_, rounds) = apsp_pipelined_distributed(&mut net).unwrap();
+            let m = net.metrics();
+            let got = (
+                m.rounds,
+                m.supersteps,
+                m.messages,
+                m.words,
+                m.max_edge_words_in_superstep,
+            );
+            assert_eq!(got, want);
+            assert_eq!(rounds, m.rounds);
+        }
     }
 }

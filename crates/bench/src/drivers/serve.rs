@@ -128,8 +128,8 @@ pub fn run(trial: &Trial) -> TrialRow {
     let single = t.elapsed();
     row.wall("single", single);
     let stats = engine.stats();
-    // The compat rayon stand-in runs batches sequentially and the cache
-    // is keyed purely on the query stream, so hit counts are exact.
+    // Batches run in query order on this thread and the cache is keyed
+    // purely on the query stream, so hit counts are exact.
     row.det("cache_hits", stats.hits);
     row.det("cache_misses", stats.misses);
     row.info("single_hit_rate", stats.hit_rate());

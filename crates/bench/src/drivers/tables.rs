@@ -485,11 +485,11 @@ fn e9_primitives(row: &mut RowBuilder) {
         let labels: Vec<Option<u32>> = (0..n).map(|v| Some((v / 16) as u32)).collect();
         let parts = Parts::from_labels(&labels);
         let roles = pa::steiner_roles(&tree, &parts);
-        let before = *net.metrics();
+        let before = net.metrics().rounds;
         let _ =
             pa::aggregate_and_share(&mut net, &roles, |_v, _p| Some(1u64), |a, b| a + b).unwrap();
-        let delta = net.metrics().since(&before);
-        row.det(format!("pa_k{k}/rounds"), delta.rounds);
+        let rounds = net.metrics().rounds - before;
+        row.det(format!("pa_k{k}/rounds"), rounds);
         row.det(
             format!("pa_k{k}/congestion"),
             net.metrics().max_edge_words_in_superstep,
@@ -497,10 +497,10 @@ fn e9_primitives(row: &mut RowBuilder) {
         rows.push((
             vec![
                 k.to_string(),
-                fmt(delta.rounds),
+                fmt(rounds),
                 fmt(net.metrics().max_edge_words_in_superstep),
             ],
-            serde_json::json!({"exp": "e9a", "k": k, "rounds": delta.rounds}),
+            serde_json::json!({"exp": "e9a", "k": k, "rounds": rounds}),
         ));
     }
     table(
@@ -516,7 +516,7 @@ fn e9_primitives(row: &mut RowBuilder) {
         let mut net = Network::new(g, NetworkConfig::default());
         let xs: Vec<u32> = (0..rows_dim as u32).map(|r| r * 24).collect();
         let ys: Vec<u32> = (0..rows_dim as u32).map(|r| r * 24 + 23).collect();
-        let before = *net.metrics();
+        let before = net.metrics().rounds;
         let res = batch_min_vertex_cut(
             &mut net,
             &[CutInstance {
@@ -527,15 +527,15 @@ fn e9_primitives(row: &mut RowBuilder) {
             rows_dim + 1,
         )
         .unwrap();
-        let delta = net.metrics().since(&before);
+        let rounds = net.metrics().rounds - before;
         let cut = match &res[0] {
             subgraph_ops::mvc::CutResult::Cut(c) => c.len(),
             subgraph_ops::mvc::CutResult::TooBig => usize::MAX,
         };
         row.det(format!("mvc_r{rows_dim}/cut"), cut as u64);
-        row.det(format!("mvc_r{rows_dim}/rounds"), delta.rounds);
+        row.det(format!("mvc_r{rows_dim}/rounds"), rounds);
         rows.push((
-            vec![rows_dim.to_string(), cut.to_string(), fmt(delta.rounds)],
+            vec![rows_dim.to_string(), cut.to_string(), fmt(rounds)],
             serde_json::json!({"exp": "e9b", "rows": rows_dim, "cut": cut}),
         ));
     }
@@ -554,7 +554,7 @@ fn e9_primitives(row: &mut RowBuilder) {
         let tree = build_global_tree(&mut net).unwrap();
         let parts = Parts::from_labels(&vec![Some(0u32); n]);
         let roles = pa::steiner_roles(&tree, &parts);
-        let before = *net.metrics();
+        let before = net.metrics().rounds;
         let _ = pa::broadcast(&mut net, &roles, |v, _p| {
             if (v as usize) < h {
                 vec![v as u64]
@@ -563,11 +563,11 @@ fn e9_primitives(row: &mut RowBuilder) {
             }
         })
         .unwrap();
-        let delta = net.metrics().since(&before);
-        row.det(format!("bct_h{h}/rounds"), delta.rounds);
+        let rounds = net.metrics().rounds - before;
+        row.det(format!("bct_h{h}/rounds"), rounds);
         rows.push((
-            vec![h.to_string(), fmt(delta.rounds)],
-            serde_json::json!({"exp": "e9c", "h": h, "rounds": delta.rounds}),
+            vec![h.to_string(), fmt(rounds)],
+            serde_json::json!({"exp": "e9c", "h": h, "rounds": rounds}),
         ));
     }
     table(
@@ -595,14 +595,14 @@ fn a1_pa_ablation(row: &mut RowBuilder) {
     let mut net1 = Network::new(g.clone(), NetworkConfig::default());
     let tree = build_global_tree(&mut net1).unwrap();
     let roles = pa::steiner_roles(&tree, &parts);
-    let before = *net1.metrics();
+    let before = net1.metrics().rounds;
     let _ = pa::aggregate_and_share(&mut net1, &roles, |_v, _p| Some(1u64), |a, b| a + b).unwrap();
-    let steiner = net1.metrics().since(&before).rounds;
+    let steiner = net1.metrics().rounds - before;
 
     // Naive: per-part BFS trees + up/down flow on them.
     let mut net2 = Network::new(g.clone(), NetworkConfig::default());
     let roots: Vec<(u32, u32)> = (0..r as u32).map(|p| (p, p * c as u32)).collect();
-    let before = *net2.metrics();
+    let before = net2.metrics().rounds;
     let ptrees = part_bfs_trees(&mut net2, &parts, &roots).unwrap();
     let up = upflow(&mut net2, &ptrees, |_v, _p| Some(1u64), |a, b| a + b).unwrap();
     let totals: std::collections::HashMap<u32, u64> = up.roots.into_iter().collect();
@@ -610,7 +610,7 @@ fn a1_pa_ablation(row: &mut RowBuilder) {
         totals.get(&p).copied().into_iter().collect::<Vec<u64>>()
     })
     .unwrap();
-    let naive = net2.metrics().since(&before).rounds;
+    let naive = net2.metrics().rounds - before;
 
     row.det("steiner/rounds", steiner);
     row.det("naive/rounds", naive);

@@ -2,11 +2,9 @@
 //! `par_iter_mut` / `into_par_iter` entry points return the corresponding
 //! **sequential** iterators.
 //!
-//! Rationale: the workspace's build environment has no registry access, and
-//! the only rayon consumer (`congest_sim`'s superstep engine) uses the pool
-//! purely as a same-result speedup above a node-count threshold — the cost
-//! model it computes is independent of execution order. Swapping the real
-//! rayon back in requires no source changes anywhere.
+//! No workspace crate calls it: `congest_sim`, `treedec` and `labelserve`
+//! keep the dependency only so that `perfbench/Cargo.lock` stays unchanged
+//! (see `crates/compat/README.md`).
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator};

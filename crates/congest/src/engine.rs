@@ -29,13 +29,13 @@
 //!
 //! ## Single supersteps
 //!
-//! [`superstep`](Network::superstep) evaluates a pure `send` on all n nodes
-//! and `recv` on every inbox window, empty or not; the scoped
-//! [`superstep_on`](Network::superstep_on) does the same over a sorted
-//! active list with positional states (`states[i]` belongs to
-//! `active[i]`), resetting its bookkeeping over the active set only, so it
-//! costs O(active + messages). Protocols that need a tick on every node
-//! every superstep loop over these. In every scoped entry point messages
+//! [`superstep_on`](Network::superstep_on) evaluates a pure `send` on every
+//! node of a sorted active list and `recv` on every active node's inbox
+//! window, empty or not, with positional states (`states[i]` belongs to
+//! `active[i]`). It resets its bookkeeping over the active set only, so it
+//! costs O(active + messages); a list naming every node is the dense case
+//! and takes a dense reset instead. Protocols that need a tick on every
+//! node every superstep loop over it. In every scoped entry point messages
 //! must stay inside the active set ([`CongestError::InactiveRecipient`]
 //! otherwise), and the active list itself is checked: not strictly
 //! ascending or naming a vertex ≥ n is a typed error with nothing charged.
@@ -46,8 +46,6 @@ use crate::projection::{EdgeProjection, NO_SLOT};
 use crate::wire::WireMsg;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
-use std::ops::Range;
 use std::sync::Arc;
 use twgraph::UGraph;
 
@@ -57,9 +55,6 @@ pub struct NetworkConfig {
     /// Words each edge carries per direction per round (`W`; default 1 —
     /// the classical CONGEST normalization of one O(log n)-bit message).
     pub bandwidth_words: u64,
-    /// Node count above which send/recv phases run on the rayon pool,
-    /// partitioned over edge-balanced node ranges.
-    pub parallel_threshold: usize,
     /// Seed for the unique O(log n)-bit node identifiers.
     pub seed: u64,
 }
@@ -68,7 +63,6 @@ impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
             bandwidth_words: 1,
-            parallel_threshold: 2048,
             seed: 0xC0FFEE,
         }
     }
@@ -176,19 +170,16 @@ struct MailboxArena {
     slot_words: Vec<u64>,
     /// The slots dirtied this superstep (sparse reset + sparse max/sum).
     touched: Vec<u32>,
-    /// Per-node inbox cursor (counts, then scatter positions). The dense
-    /// path refills it whole; the scoped paths zero the active entries on
-    /// entry (stale entries outside an active set are never read), and a
-    /// quiescence loop re-zeroes the entries that received after every
-    /// superstep.
+    /// Per-node inbox cursor (counts, then scatter positions). Entering a
+    /// scope zeroes the active entries (stale entries outside an active set
+    /// are never read), and a quiescence loop re-zeroes the entries that
+    /// received after every superstep.
     cursor: Vec<usize>,
     /// The distinct destinations of the current superstep's messages, in
     /// first-arrival order (filled while charging).
     receivers: Vec<u32>,
-    /// Per-node inbox offsets into the delivery buffer for the dense path
-    /// (`n + 1` entries); the id → position map of a stamped active set
-    /// for the scoped paths.
-    inbox_off: Vec<usize>,
+    /// The id → position map of a stamped active set.
+    active_pos: Vec<usize>,
     /// Membership stamp of the current scoped superstep's active set:
     /// `active_stamp[v] == active_epoch` iff `v` is active. Bumping the
     /// epoch clears the whole set in O(1).
@@ -225,7 +216,7 @@ impl MailboxArena {
 ///
 /// The network owns the topology, the cost accounting and the node
 /// identifiers; *algorithm state* lives outside in a `Vec<S>` supplied to
-/// [`superstep`](Network::superstep), so one network can run many protocols
+/// each superstep or quiescence loop, so one network can run many protocols
 /// back to back while accumulating a single round count.
 pub struct Network {
     g: Arc<UGraph>,
@@ -244,57 +235,8 @@ pub struct Network {
     metrics: Metrics,
     /// Unique random O(log n)-bit node ids (the model's identifiers).
     uids: Vec<u64>,
-    /// Target number of work chunks for the parallel paths.
-    n_chunks: usize,
     arena: MailboxArena,
     phase_log: Vec<PhaseSnapshot>,
-}
-
-/// Split `0..n` into up to `chunks` contiguous ranges of roughly equal
-/// total weight, where `prefix(i)` is the cumulative weight of the first
-/// `i` items. Returns a single range when there is no weight to balance —
-/// in particular a graph with zero edges (or all-isolated vertices) must
-/// not divide by its total edge weight.
-///
-/// Public because the same weight-balanced partitioning drives other
-/// deterministic fan-outs (e.g. `treedec`'s sibling-branch scheduling).
-pub fn balanced_ranges(
-    n: usize,
-    chunks: usize,
-    prefix: impl Fn(usize) -> u64,
-) -> Vec<Range<usize>> {
-    let total = prefix(n);
-    let chunks = chunks.clamp(1, n.max(1));
-    if total == 0 || chunks == 1 || n == 0 {
-        // A single whole-range chunk, not `vec![0; n]`.
-        #[allow(clippy::single_range_in_vec_init)]
-        return vec![0..n];
-    }
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0usize;
-    for c in 1..=chunks {
-        let end = if c == chunks {
-            n
-        } else {
-            // Smallest i ≥ start with prefix(i) ≥ c/chunks of the total.
-            let target = total * c as u64 / chunks as u64;
-            let (mut lo, mut hi) = (start, n);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if prefix(mid) < target {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            lo
-        };
-        if end > start {
-            out.push(start..end);
-            start = end;
-        }
-    }
-    out
 }
 
 impl Network {
@@ -339,13 +281,12 @@ impl Network {
         let (slot_fwd, slot_rev) = projection.slot_tables();
         debug_assert_eq!(slot_fwd.len(), g.m());
 
-        let n_chunks = std::thread::available_parallelism().map_or(1, |p| p.get()) * 4;
         let arena = MailboxArena {
             slot_words: vec![0u64; projection.n_physical_edges() * 2],
             touched: Vec::new(),
             cursor: vec![0usize; n],
             receivers: Vec::new(),
-            inbox_off: vec![0usize; n + 1],
+            active_pos: vec![0usize; n],
             active_stamp: vec![0u64; n],
             active_epoch: 0,
         };
@@ -358,7 +299,6 @@ impl Network {
             cfg,
             metrics: Metrics::default(),
             uids,
-            n_chunks: n_chunks.clamp(1, 256),
             arena,
             phase_log: Vec::new(),
         }
@@ -423,51 +363,7 @@ impl Network {
         &self.phase_log
     }
 
-    /// Phase 1: evaluate `send` for every node and append the emitted
-    /// messages to the flat staging buffer as `(src, dst, payload)`,
-    /// ordered by source. Above the parallel threshold the nodes are
-    /// partitioned into edge-balanced ranges for the rayon pool.
-    fn stage_sends<S, M>(
-        &self,
-        states: &[S],
-        send: &(impl Fn(u32, &S) -> Vec<(u32, M)> + Sync),
-        stage: &mut Vec<(u32, u32, M)>,
-    ) where
-        S: Send + Sync,
-        M: WireMsg,
-    {
-        let n = states.len();
-        stage.clear();
-        if n >= self.cfg.parallel_threshold {
-            // adj_off doubles as the degree prefix sum (edge-balanced split).
-            let adj_off = &self.adj_off;
-            let ranges = balanced_ranges(n, self.n_chunks, |i| adj_off[i] as u64);
-            let parts: Vec<Vec<(u32, u32, M)>> = ranges
-                .into_par_iter()
-                .map(|r| {
-                    let mut buf = Vec::new();
-                    for u in r {
-                        for (v, m) in send(u as u32, &states[u]) {
-                            buf.push((u as u32, v, m));
-                        }
-                    }
-                    buf
-                })
-                .collect();
-            stage.reserve(parts.iter().map(Vec::len).sum());
-            for part in parts {
-                stage.extend(part);
-            }
-        } else {
-            for (u, s) in states.iter().enumerate() {
-                for (v, m) in send(u as u32, s) {
-                    stage.push((u as u32, v, m));
-                }
-            }
-        }
-    }
-
-    /// Phase 2 (shared): validate and charge the staged messages, count
+    /// Validate and charge the staged messages (source-ascending), count
     /// them per destination into `arena.cursor` (which the caller must have
     /// reset for every possible destination), list the distinct
     /// destinations in `arena.receivers`, and record the superstep in the
@@ -564,85 +460,10 @@ impl Network {
         Ok(rounds)
     }
 
-    /// Phases 2–4: validate and charge the staged messages, counting-sort
-    /// them into the delivery buffer, and run `recv` over every node's
-    /// inbox window. Drains `stage`; returns the rounds charged.
-    fn deliver_staged<S, M>(
-        &mut self,
-        states: &mut [S],
-        stage: &mut Vec<(u32, u32, M)>,
-        deliv: &mut Vec<Option<(u32, M)>>,
-        recv: &(impl Fn(u32, &mut S, Inbox<'_, M>) + Sync),
-    ) -> Result<u64, CongestError>
-    where
-        S: Send + Sync,
-        M: WireMsg,
-    {
-        let n = states.len();
-
-        // Phase 2: validate, account (sparsely — only touched slots).
-        self.arena.cursor[..n].fill(0);
-        let rounds = self.charge_stage(stage, false)?;
-        let arena = &mut self.arena;
-
-        // Phase 3: counting-sort delivery into the flat mailbox. The stage
-        // is source-ascending and the sort is stable, so every inbox window
-        // ends up ordered by source.
-        arena.inbox_off[0] = 0;
-        for v in 0..n {
-            arena.inbox_off[v + 1] = arena.inbox_off[v] + arena.cursor[v];
-        }
-        arena.cursor[..n].copy_from_slice(&arena.inbox_off[..n]);
-        deliv.clear();
-        deliv.resize_with(stage.len(), || None);
-        for (u, v, m) in stage.drain(..) {
-            let p = arena.cursor[v as usize];
-            arena.cursor[v as usize] += 1;
-            deliv[p] = Some((u, m));
-        }
-
-        // Phase 4: deliver. Parallel path: message-balanced node ranges,
-        // each owning a disjoint window of the delivery buffer.
-        let inbox_off = &arena.inbox_off;
-        if n >= self.cfg.parallel_threshold {
-            let ranges = balanced_ranges(n, self.n_chunks, |i| inbox_off[i] as u64);
-            let mut jobs = Vec::with_capacity(ranges.len());
-            let mut state_rest = states;
-            let mut deliv_rest = &mut deliv[..];
-            let mut node_base = 0usize;
-            for r in &ranges {
-                let (s_chunk, s_rest) = state_rest.split_at_mut(r.end - r.start);
-                let (d_chunk, d_rest) =
-                    deliv_rest.split_at_mut(inbox_off[r.end] - inbox_off[r.start]);
-                state_rest = s_rest;
-                deliv_rest = d_rest;
-                jobs.push((node_base, s_chunk, d_chunk));
-                node_base = r.end;
-            }
-            jobs.into_par_iter().for_each(|(base, s_chunk, d_chunk)| {
-                let mut rest = d_chunk;
-                for (i, s) in s_chunk.iter_mut().enumerate() {
-                    let v = base + i;
-                    let (window, r) = rest.split_at_mut(inbox_off[v + 1] - inbox_off[v]);
-                    rest = r;
-                    recv(v as u32, s, Inbox { slots: window });
-                }
-            });
-        } else {
-            let mut rest = &mut deliv[..];
-            for (v, s) in states.iter_mut().enumerate() {
-                let (window, r) = rest.split_at_mut(inbox_off[v + 1] - inbox_off[v]);
-                rest = r;
-                recv(v as u32, s, Inbox { slots: window });
-            }
-        }
-        Ok(rounds)
-    }
-
     /// Prepare the per-destination bookkeeping for scoped supersteps over
     /// `active` (`None` = all of V): zero the inbox counts and, for a
     /// proper subset, stamp the set (an O(1) clear via the epoch bump) and
-    /// its id → position map into `inbox_off`. Callers pass `None` for a
+    /// its id → position map into `active_pos`. Callers pass `None` for a
     /// list naming every node: every recipient is then trivially active,
     /// and the dense reset beats n scattered writes.
     fn enter_scope(&mut self, active: Option<&[u32]>) {
@@ -653,54 +474,31 @@ impl Network {
                 arena.active_epoch += 1;
                 for (i, &v) in list.iter().enumerate() {
                     arena.active_stamp[v as usize] = arena.active_epoch;
-                    arena.inbox_off[v as usize] = i;
+                    arena.active_pos[v as usize] = i;
                     arena.cursor[v as usize] = 0;
                 }
             }
         }
     }
 
-    /// Execute one superstep.
+    /// Execute one superstep over `active` (sorted, unique node ids; a list
+    /// naming every node runs it on all of V).
     ///
     /// * `send(v, &state)` returns the messages node `v` emits as
-    ///   `(neighbor, payload)` pairs — sending to a non-neighbor is a model
-    ///   violation and returns [`CongestError::NonNeighborSend`] (nothing
-    ///   is charged or delivered in that case).
-    /// * `recv(v, &mut state, inbox)` consumes the delivered messages as
-    ///   `(source, payload)` pairs, ordered by source id.
-    ///
-    /// Returns the number of rounds charged:
-    /// `max(1, max_slot ⌈words(slot)/W⌉)` over physical directed edges.
-    pub fn superstep<S, M>(
-        &mut self,
-        states: &mut [S],
-        send: impl Fn(u32, &S) -> Vec<(u32, M)> + Sync,
-        recv: impl Fn(u32, &mut S, Inbox<'_, M>) + Sync,
-    ) -> Result<u64, CongestError>
-    where
-        S: Send + Sync,
-        M: WireMsg,
-    {
-        assert_eq!(
-            states.len(),
-            self.g.n(),
-            "state vector must match node count"
-        );
-        let mut stage = Vec::new();
-        let mut deliv = Vec::new();
-        self.stage_sends(states, &send, &mut stage);
-        self.deliver_staged(states, &mut stage, &mut deliv, &recv)
-    }
-
-    /// Execute one superstep scoped to `active` (sorted, unique node ids).
+    ///   `(neighbor, payload)` pairs. Sending to a non-neighbour returns
+    ///   [`CongestError::NonNeighborSend`], and to a node outside `active`
+    ///   [`CongestError::InactiveRecipient`]; nothing is charged or
+    ///   delivered in either case.
+    /// * `recv(v, &mut state, inbox)` runs on every active node, in active
+    ///   order, and consumes its delivered `(source, payload)` pairs,
+    ///   ordered by source id.
     ///
     /// States are *positional*: `states[i]` is the state of `active[i]`, so
-    /// a protocol over k nodes allocates k states, not n. `send`/`recv` are
-    /// evaluated for active nodes only and every message must target an
-    /// active node. Charged exactly like [`superstep`](Network::superstep)
-    /// with `send` empty outside the active set. An active list that is not
-    /// strictly ascending or names a vertex ≥ n is rejected before anything
-    /// runs ([`CongestError::UnsortedActiveList`],
+    /// a protocol over k nodes allocates k states, not n. Returns the rounds
+    /// charged: `max(1, max_slot ⌈words(slot)/W⌉)` over physical directed
+    /// edges. An active list that is not strictly ascending or names a
+    /// vertex ≥ n is rejected before anything runs
+    /// ([`CongestError::UnsortedActiveList`],
     /// [`CongestError::ActiveOutOfRange`]).
     pub fn superstep_on<S, M>(
         &mut self,
@@ -826,7 +624,7 @@ impl Network {
     /// The one quiescence loop body. `active == None` (or a list naming
     /// every node) means all of V, with states indexed by node id;
     /// otherwise states are positional and the active set plus its
-    /// id → position map (`arena.inbox_off`) are stamped once up front.
+    /// id → position map (`arena.active_pos`) are stamped once up front.
     fn frontier_loop<S, M>(
         &mut self,
         active: Option<&[u32]>,
@@ -883,7 +681,7 @@ impl Network {
                 let (window, r) = rest.split_at_mut(end - start);
                 rest = r;
                 start = end;
-                let i = active.map_or(v as usize, |_| arena.inbox_off[v as usize]);
+                let i = active.map_or(v as usize, |_| arena.active_pos[v as usize]);
                 if recv(v, &mut states[i], Inbox { slots: window }) {
                     armed.push(i as u32);
                 }
@@ -964,19 +762,31 @@ mod tests {
         states.into_iter().map(|s| s.dist).collect()
     }
 
-    /// Full-scan reference for the frontier loop, written over `superstep`:
-    /// every superstep evaluates the pure `send` on all n nodes and `recv`
-    /// on every inbox, and the loop stops (uncharged) once no node would
-    /// send — the quiescence loop as it was before frontiers.
-    fn full_scan_quiet<S: Send + Sync, M: WireMsg>(
+    /// One superstep on all of V: `superstep_on` with an active list naming
+    /// every node, so `states[v]` belongs to node `v`.
+    fn superstep_all<S, M: WireMsg>(
         net: &mut Network,
         states: &mut [S],
-        send: impl Fn(u32, &S) -> Vec<(u32, M)> + Sync,
-        recv: impl Fn(u32, &mut S, Inbox<'_, M>) + Sync,
+        send: impl Fn(u32, &S) -> Vec<(u32, M)>,
+        recv: impl FnMut(u32, &mut S, Inbox<'_, M>),
+    ) -> Result<u64, CongestError> {
+        let all: Vec<u32> = (0..net.n() as u32).collect();
+        net.superstep_on(&all, states, send, recv)
+    }
+
+    /// Full-scan reference for the frontier loop, written over supersteps
+    /// on all of V: every superstep evaluates the pure `send` on all n
+    /// nodes and `recv` on every inbox, and the loop stops (uncharged) once
+    /// no node would send — the quiescence loop as it was before frontiers.
+    fn full_scan_quiet<S, M: WireMsg>(
+        net: &mut Network,
+        states: &mut [S],
+        send: impl Fn(u32, &S) -> Vec<(u32, M)>,
+        mut recv: impl FnMut(u32, &mut S, Inbox<'_, M>),
     ) -> u64 {
         let mut steps = 0;
         while (0..states.len()).any(|u| !send(u as u32, &states[u]).is_empty()) {
-            net.superstep(states, &send, &recv).unwrap();
+            superstep_all(net, states, &send, &mut recv).unwrap();
             steps += 1;
         }
         steps
@@ -988,7 +798,7 @@ mod tests {
     fn full_scan_flood(
         net: &mut Network,
         sources: &[u32],
-        keep: impl Fn(u32) -> bool + Sync,
+        keep: impl Fn(u32) -> bool,
     ) -> (Vec<FloodState>, u64) {
         let g = net.graph_handle();
         let mut states = flood_states(net.n(), sources);
@@ -1036,23 +846,23 @@ mod tests {
         let g = path(2);
         let mut net = Network::new(g, NetworkConfig::default());
         let mut states = vec![0u64; 2];
-        let rounds = net
-            .superstep(
-                &mut states,
-                |u, _s| {
-                    if u == 0 {
-                        vec![(1u32, vec![7u32; 5])] // one 5-word message
-                    } else {
-                        Vec::new()
-                    }
-                },
-                |_v, s, inbox| {
-                    if let Some((_, payload)) = inbox.first() {
-                        *s = payload.len() as u64;
-                    }
-                },
-            )
-            .unwrap();
+        let rounds = superstep_all(
+            &mut net,
+            &mut states,
+            |u, _s| {
+                if u == 0 {
+                    vec![(1u32, vec![7u32; 5])] // one 5-word message
+                } else {
+                    Vec::new()
+                }
+            },
+            |_v, s, inbox| {
+                if let Some((_, payload)) = inbox.first() {
+                    *s = payload.len() as u64;
+                }
+            },
+        )
+        .unwrap();
         assert_eq!(rounds, 5);
         assert_eq!(states[1], 5);
         assert_eq!(net.metrics().words, 5);
@@ -1067,19 +877,19 @@ mod tests {
         };
         let mut net = Network::new(g, cfg);
         let mut states = vec![(); 2];
-        let rounds = net
-            .superstep(
-                &mut states,
-                |u, _s| {
-                    if u == 0 {
-                        vec![(1u32, vec![0u32; 8])]
-                    } else {
-                        Vec::new()
-                    }
-                },
-                |_v, _s, _inbox| {},
-            )
-            .unwrap();
+        let rounds = superstep_all(
+            &mut net,
+            &mut states,
+            |u, _s| {
+                if u == 0 {
+                    vec![(1u32, vec![0u32; 8])]
+                } else {
+                    Vec::new()
+                }
+            },
+            |_v, _s, _inbox| {},
+        )
+        .unwrap();
         assert_eq!(rounds, 2); // ⌈8/4⌉
     }
 
@@ -1089,13 +899,13 @@ mod tests {
         let mut net = Network::new(g, NetworkConfig::default());
         let mut states = vec![(); 2];
         // One word each way in the same superstep: full-duplex, 1 round.
-        let rounds = net
-            .superstep(
-                &mut states,
-                |u, _s| vec![(1 - u, 1u32)],
-                |_v, _s, _inbox| {},
-            )
-            .unwrap();
+        let rounds = superstep_all(
+            &mut net,
+            &mut states,
+            |u, _s| vec![(1 - u, 1u32)],
+            |_v, _s, _inbox| {},
+        )
+        .unwrap();
         assert_eq!(rounds, 1);
     }
 
@@ -1104,19 +914,19 @@ mod tests {
         let g = path(3); // 0-1-2: 0 and 2 not adjacent
         let mut net = Network::new(g, NetworkConfig::default());
         let mut states = vec![(); 3];
-        let err = net
-            .superstep(
-                &mut states,
-                |u, _s| {
-                    if u == 0 {
-                        vec![(2u32, 1u32)]
-                    } else {
-                        Vec::new()
-                    }
-                },
-                |_v, _s, _inbox| {},
-            )
-            .unwrap_err();
+        let err = superstep_all(
+            &mut net,
+            &mut states,
+            |u, _s| {
+                if u == 0 {
+                    vec![(2u32, 1u32)]
+                } else {
+                    Vec::new()
+                }
+            },
+            |_v, _s, _inbox| {},
+        )
+        .unwrap_err();
         assert_eq!(err, CongestError::NonNeighborSend { from: 0, to: 2 });
         // A failed superstep charges nothing.
         assert_eq!(net.metrics().rounds, 0);
@@ -1128,7 +938,8 @@ mod tests {
         let g = twgraph::UGraph::from_edges(4, [(3, 0), (3, 1), (3, 2)]);
         let mut net = Network::new(g, NetworkConfig::default());
         let mut states: Vec<Vec<u32>> = vec![Vec::new(); 4];
-        net.superstep(
+        superstep_all(
+            &mut net,
             &mut states,
             |u, _s| if u != 3 { vec![(3u32, u)] } else { Vec::new() },
             |v, s, inbox| {
@@ -1170,17 +981,17 @@ mod tests {
         let mut net = Network::with_projection(virt, proj, NetworkConfig::default());
         let mut states = vec![(); 4];
         // Heavy local chatter + one physical word: still 1 round.
-        let rounds = net
-            .superstep(
-                &mut states,
-                |u, _s| match u {
-                    0 => vec![(1u32, vec![9u32; 100]), (2u32, vec![1u32; 1])],
-                    3 => vec![(2u32, vec![9u32; 50])],
-                    _ => Vec::new(),
-                },
-                |_v, _s, _inbox| {},
-            )
-            .unwrap();
+        let rounds = superstep_all(
+            &mut net,
+            &mut states,
+            |u, _s| match u {
+                0 => vec![(1u32, vec![9u32; 100]), (2u32, vec![1u32; 1])],
+                3 => vec![(2u32, vec![9u32; 50])],
+                _ => Vec::new(),
+            },
+            |_v, _s, _inbox| {},
+        )
+        .unwrap();
         assert_eq!(rounds, 1);
         assert_eq!(net.metrics().words, 1); // only the physical word counted
     }
@@ -1192,97 +1003,36 @@ mod tests {
         let g = path(3);
         let mut net = Network::new(g, NetworkConfig::default());
         let mut states = vec![(); 3];
-        let r1 = net
-            .superstep(
-                &mut states,
-                |u, _s| {
-                    if u == 0 {
-                        vec![(1u32, vec![1u32; 4])]
-                    } else {
-                        Vec::new()
-                    }
-                },
-                |_v, _s, _inbox| {},
-            )
-            .unwrap();
+        let r1 = superstep_all(
+            &mut net,
+            &mut states,
+            |u, _s| {
+                if u == 0 {
+                    vec![(1u32, vec![1u32; 4])]
+                } else {
+                    Vec::new()
+                }
+            },
+            |_v, _s, _inbox| {},
+        )
+        .unwrap();
         assert_eq!(r1, 4);
-        let r2 = net
-            .superstep(
-                &mut states,
-                |u, _s| {
-                    if u == 2 {
-                        vec![(1u32, 1u32)]
-                    } else {
-                        Vec::new()
-                    }
-                },
-                |_v, _s, _inbox| {},
-            )
-            .unwrap();
+        let r2 = superstep_all(
+            &mut net,
+            &mut states,
+            |u, _s| {
+                if u == 2 {
+                    vec![(1u32, 1u32)]
+                } else {
+                    Vec::new()
+                }
+            },
+            |_v, _s, _inbox| {},
+        )
+        .unwrap();
         assert_eq!(r2, 1);
         assert_eq!(net.metrics().words, 5);
         assert_eq!(net.metrics().max_edge_words_in_superstep, 4);
-    }
-
-    #[test]
-    fn parallel_path_handles_zero_edges() {
-        // Regression: a graph with no edges (gnp with p = 0) must not
-        // panic in the edge-partitioned parallel send/recv path.
-        let g = gnp(64, 0.0, 9);
-        assert_eq!(g.m(), 0);
-        let cfg = NetworkConfig {
-            parallel_threshold: 1, // force the parallel path
-            ..Default::default()
-        };
-        let mut net = Network::new(g, cfg);
-        let mut states = vec![0u32; 64];
-        let rounds = net
-            .superstep(
-                &mut states,
-                |_u, _s| Vec::<(u32, u32)>::new(),
-                |_v, s, inbox| *s = inbox.len() as u32,
-            )
-            .unwrap();
-        assert_eq!(rounds, 1);
-        assert_eq!(net.metrics().messages, 0);
-        assert!(states.iter().all(|&c| c == 0));
-    }
-
-    #[test]
-    fn parallel_path_handles_isolated_vertices() {
-        // Isolated vertices next to an active component, through the
-        // parallel path: delivery windows must line up.
-        let mut g = twgraph::UGraphBuilder::new(40);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        let g = g.build();
-        let cfg = NetworkConfig {
-            parallel_threshold: 1,
-            ..Default::default()
-        };
-        let mut net = Network::new(g, cfg);
-        let (states, _) = full_scan_flood(&mut net, &[0], |_| true);
-        assert_eq!(states[1].dist, Some(1));
-        assert_eq!(states[2].dist, Some(2));
-        assert!(states[3..].iter().all(|s| s.dist.is_none()));
-    }
-
-    #[test]
-    fn parallel_and_sequential_paths_agree() {
-        let g = twgraph::gen::gnp(96, 0.08, 5);
-        let run = |threshold: usize| {
-            let cfg = NetworkConfig {
-                parallel_threshold: threshold,
-                ..Default::default()
-            };
-            let mut net = Network::new(g.clone(), cfg);
-            let (states, _) = full_scan_flood(&mut net, &[0], |_| true);
-            (states, *net.metrics())
-        };
-        let (d_seq, m_seq) = run(usize::MAX);
-        let (d_par, m_par) = run(1);
-        assert_eq!(d_seq, d_par);
-        assert_eq!(m_seq, m_par);
     }
 
     #[test]
@@ -1308,7 +1058,8 @@ mod tests {
         let g = path(3);
         let mut net = Network::new(g, NetworkConfig::default());
         let mut states = vec![(); 3];
-        let err = net.superstep(
+        let err = superstep_all(
+            &mut net,
             &mut states,
             // Node 0 charges a legal 7-word message first, then node 2
             // violates the model — the error lands mid-accounting.
@@ -1323,19 +1074,19 @@ mod tests {
         // A clean one-word superstep afterwards must charge exactly 1 round
         // and 1 word on top of nothing.
         let mut states = vec![(); 3];
-        let rounds = net
-            .superstep(
-                &mut states,
-                |u, _s| {
-                    if u == 0 {
-                        vec![(1u32, 1u32)]
-                    } else {
-                        Vec::new()
-                    }
-                },
-                |_v, _s, _inbox| {},
-            )
-            .unwrap();
+        let rounds = superstep_all(
+            &mut net,
+            &mut states,
+            |u, _s| {
+                if u == 0 {
+                    vec![(1u32, 1u32)]
+                } else {
+                    Vec::new()
+                }
+            },
+            |_v, _s, _inbox| {},
+        )
+        .unwrap();
         assert_eq!(rounds, 1);
         assert_eq!(net.metrics().words, 1);
         assert_eq!(net.metrics().max_edge_words_in_superstep, 1);
@@ -1630,20 +1381,5 @@ mod tests {
         assert_eq!(full[7], Some(7));
         let d2 = scoped_flood(&mut net, &[4, 5, 6, 7], 6);
         assert_eq!(d2, vec![Some(2), Some(1), Some(0), Some(1)]);
-    }
-
-    #[test]
-    fn balanced_ranges_cover_and_balance() {
-        // Uniform weights: every chunk within a factor 2 of ideal.
-        let prefix = |i: usize| i as u64;
-        let ranges = balanced_ranges(100, 4, prefix);
-        assert_eq!(ranges.iter().map(|r| r.len()).sum::<usize>(), 100);
-        assert_eq!(ranges.len(), 4);
-        for r in &ranges {
-            assert!(r.len() >= 13 && r.len() <= 50, "unbalanced: {r:?}");
-        }
-        // Degenerate cases.
-        assert_eq!(balanced_ranges(10, 4, |_| 0), vec![0..10]);
-        assert_eq!(balanced_ranges(0, 4, |_| 0), vec![0..0]);
     }
 }

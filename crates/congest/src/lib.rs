@@ -77,8 +77,8 @@ mod metrics;
 mod projection;
 mod wire;
 
-pub use engine::{balanced_ranges, Inbox, InboxIter, Network, NetworkConfig, Outbox};
+pub use engine::{Inbox, InboxIter, Network, NetworkConfig, Outbox};
 pub use error::CongestError;
-pub use metrics::{Metrics, MetricsDelta, PhaseSnapshot};
+pub use metrics::{Metrics, PhaseSnapshot};
 pub use projection::{EdgeProjection, NO_SLOT};
 pub use wire::WireMsg;

@@ -132,34 +132,6 @@ impl Metrics {
         self.max_edge_words_in_superstep = acc.max_edge_words_in_superstep;
         self.phase_congestion = self.phase_congestion.max(other.phase_congestion);
     }
-
-    /// Difference `self − earlier`, for measuring a phase.
-    pub fn since(&self, earlier: &Metrics) -> MetricsDelta {
-        MetricsDelta {
-            rounds: self.rounds - earlier.rounds,
-            supersteps: self.supersteps - earlier.supersteps,
-            messages: self.messages - earlier.messages,
-            words: self.words - earlier.words,
-            max_edge_words_in_superstep: self
-                .max_edge_words_in_superstep
-                .max(earlier.max_edge_words_in_superstep),
-        }
-    }
-}
-
-/// Metrics for a measured phase (see [`Metrics::since`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MetricsDelta {
-    /// Rounds spent in the phase.
-    pub rounds: u64,
-    /// Supersteps executed in the phase.
-    pub supersteps: u64,
-    /// Messages delivered in the phase.
-    pub messages: u64,
-    /// Words moved in the phase.
-    pub words: u64,
-    /// Peak single-superstep edge congestion (global max, not phase-local).
-    pub max_edge_words_in_superstep: u64,
 }
 
 /// One named phase's charged costs (see [`Metrics::snapshot`]).
@@ -207,18 +179,6 @@ mod tests {
         m.note_superstep(rounds, messages, words, max_slot);
         m.supersteps = supersteps;
         m
-    }
-
-    #[test]
-    fn since_subtracts() {
-        let a = charged(10, 3, 100, 150, 4);
-        let b = charged(25, 5, 180, 260, 6);
-        let d = b.since(&a);
-        assert_eq!(d.rounds, 15);
-        assert_eq!(d.supersteps, 2);
-        assert_eq!(d.messages, 80);
-        assert_eq!(d.words, 110);
-        assert_eq!(d.max_edge_words_in_superstep, 6);
     }
 
     #[test]

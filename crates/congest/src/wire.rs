@@ -7,7 +7,7 @@
 /// normalization under polynomially-bounded weights. Structured messages
 /// sum their fields. A message may be many words long; the engine charges
 /// the extra rounds automatically (pipelining).
-pub trait WireMsg: Clone + Send {
+pub trait WireMsg: Clone {
     /// Size of this message in words (≥ 1).
     fn words(&self) -> u64 {
         1

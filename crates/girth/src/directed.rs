@@ -39,8 +39,10 @@ pub fn girth_directed_distributed(
     // One SNC carrying whole labels: per neighbour the (target, to, from)
     // entries — 3 words each.
     let labels_ref = labels;
+    let all: Vec<u32> = (0..n as u32).collect();
     let mut got: Vec<Vec<(u32, Label)>> = vec![Vec::new(); n];
-    net.superstep(
+    net.superstep_on(
+        &all,
         &mut got,
         |u, _s| {
             let entries: Vec<(u32, Dist, Dist)> = labels_ref[u as usize].entries.clone();

@@ -13,7 +13,6 @@
 use crate::error::ServeError;
 use crate::lru::Lru;
 use crate::store::{LabelStore, StoreLayout};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use twgraph::Dist;
@@ -224,16 +223,10 @@ impl QueryEngine {
         Ok((self.distance(s, t)?, self.distance(t, s)?))
     }
 
-    /// Answer a whole batch, one distance per query in input order.
-    /// Execution fans out over the rayon pool (the offline stand-in runs
-    /// it sequentially; answers are identical either way — queries are
-    /// pure reads and the cache stores only exact values). The first
-    /// structural error aborts the batch.
+    /// Answer a whole batch, one distance per query in input order. The
+    /// first structural error aborts the batch.
     pub fn batch(&self, queries: &[(u32, u32)]) -> Result<Vec<Dist>, ServeError> {
-        queries
-            .par_iter()
-            .map(|&(s, t)| self.distance(s, t))
-            .collect()
+        queries.iter().map(|&(s, t)| self.distance(s, t)).collect()
     }
 
     /// Cumulative hit/miss counters plus current cache residency.

@@ -18,8 +18,8 @@
 //!   zero-copy, so a store is built once and served by fresh processes.
 //! * [`engine`] — [`QueryEngine`] answers single, paired, and batched
 //!   queries over a shared store, with a per-shard LRU hot-pair cache
-//!   ([`lru`]) and rayon-parallel batch execution. Thread-safe by
-//!   construction; answers are bit-identical with the cache on or off.
+//!   ([`lru`]). Thread-safe by construction; answers are bit-identical
+//!   with the cache on or off.
 //! * [`versioned`] — [`VersionedEngine`] serves epoch-stamped snapshots:
 //!   queries keep flowing off epoch N while an updated labeling is
 //!   patched into epoch N+1 (dirty rows added to their shards' row

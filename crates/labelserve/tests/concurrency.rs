@@ -2,11 +2,10 @@
 //! at once with overlapping batches must stay bit-identical to the
 //! sequential ground truth and keep a healthy cache afterwards.
 //!
-//! (The workspace's offline rayon stand-in runs `batch` sequentially, so
-//! the concurrency here comes from `std::thread` — each thread issues its
-//! own overlapping batches against the same engine, which is exactly the
-//! contended-cache regime the per-shard mutexes must survive. With real
-//! rayon the inner batches additionally fan out.)
+//! `batch` answers its queries in order on the calling thread, so the
+//! concurrency here comes from `std::thread`: each thread issues its own
+//! overlapping batches against the same engine, which is exactly the
+//! contended-cache regime the per-shard mutexes must survive.
 
 use labelserve::{QueryEngine, ServeConfig, StoreBuilder};
 use rand::rngs::SmallRng;

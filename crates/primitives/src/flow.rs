@@ -314,11 +314,11 @@ mod tests {
     #[test]
     fn upflow_cost_tracks_depth() {
         let (mut net, roles) = path_roles();
-        let before = *net.metrics();
+        let before = net.metrics().rounds;
         let _ = upflow(&mut net, &roles, |_, _| Some(1u64), |a, b| a + b).unwrap();
-        let d = net.metrics().since(&before);
+        let rounds = net.metrics().rounds - before;
         // Depth 2 each side; item+part = 2 words per hop, W=1 → 2 rounds/hop.
-        assert!(d.rounds <= 12, "rounds = {}", d.rounds);
+        assert!(rounds <= 12, "rounds = {rounds}");
     }
 
     #[test]
@@ -346,15 +346,15 @@ mod tests {
     #[test]
     fn downflow_multiple_items_pipelined() {
         let (mut net, roles) = path_roles();
-        let before = *net.metrics();
+        let before = net.metrics().rounds;
         let got = downflow(&mut net, &roles, |_, _| vec![1u64, 2, 3, 4]).unwrap();
         for gv in got.iter().take(5) {
             let items: Vec<u64> = gv.iter().map(|&(_, x)| x).collect();
             assert_eq!(items, vec![1, 2, 3, 4]);
         }
-        let d = net.metrics().since(&before);
+        let rounds = net.metrics().rounds - before;
         // 4 items over depth 2: pipelining keeps this ~ depth + items·2 words.
-        assert!(d.rounds <= 24, "rounds = {}", d.rounds);
+        assert!(rounds <= 24, "rounds = {rounds}");
     }
 
     #[test]

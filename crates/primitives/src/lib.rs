@@ -7,7 +7,7 @@
 //! | shorthand | task | here |
 //! |-----------|------|------|
 //! | PA  | part-wise aggregation | [`pa::aggregate`], [`pa::aggregate_and_share`] |
-//! | SNC | one-round neighbour exchange | [`snc::exchange`] |
+//! | SNC | one-round neighbour exchange | [`snc::share_with_neighbors`] |
 //! | RST | rooted spanning tree per part | [`bfs::part_bfs_trees`] |
 //! | STA | subtree aggregation | [`flow::upflow`] on part trees |
 //! | SLE | subgraph leader election | [`pa::elect_leaders`] |

@@ -17,7 +17,6 @@
 
 use congest_sim::{CongestError, Network, WireMsg};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// One cut instance: find a minimum vertex cut between `sources` and
 /// `sinks` inside the subgraph induced by `members` (`None` = whole graph).
@@ -303,25 +302,16 @@ pub fn batch_min_vertex_cut(
 
     let guard = ((t + 2) * (n + 4) * 4) as u64 * (n_inst as u64 + 1) + 1024;
     let mut steps = 0u64;
-    let sink_hits: Vec<AtomicU32> = (0..n_inst).map(|_| AtomicU32::new(u32::MAX)).collect();
-    let aug_done: Vec<AtomicU32> = (0..n_inst).map(|_| AtomicU32::new(0)).collect();
-    let progress: Vec<AtomicU32> = (0..n_inst).map(|_| AtomicU32::new(0)).collect();
+    let mut sink_hits = vec![u32::MAX; n_inst];
+    let mut aug_done = vec![0u32; n_inst];
+    let mut progress = vec![0u32; n_inst];
 
     while phase.iter().any(|&p| p != Phase::Done) {
         if steps == guard {
             return Err(CongestError::SuperstepBudget { limit: guard });
         }
         steps += 1;
-        for p in &progress {
-            p.store(0, Ordering::Relaxed);
-        }
-        let phase_snapshot = phase.clone();
-        let instances_ref = instances;
-        let member_sets_ref = &member_sets;
-        let g_ref = &g;
-        let sink_hits_ref = &sink_hits;
-        let aug_done_ref = &aug_done;
-        let progress_ref = &progress;
+        progress.fill(0);
 
         net.superstep_on(
             &active,
@@ -329,11 +319,11 @@ pub fn batch_min_vertex_cut(
             |u, s: &NodeState| {
                 let mut out: Vec<(u32, MvcMsg)> = Vec::new();
                 for (&inst, st) in s.iter() {
-                    match phase_snapshot[inst as usize] {
+                    match phase[inst as usize] {
                         Phase::Bfs => {
                             if st.fresh_out {
-                                for &w in g_ref.neighbors(u) {
-                                    if member_in(member_sets_ref, inst as usize, w) {
+                                for &w in g.neighbors(u) {
+                                    if member_in(&member_sets, inst as usize, w) {
                                         out.push((
                                             w,
                                             MvcMsg::Visit {
@@ -401,8 +391,8 @@ pub fn batch_min_vertex_cut(
                 for (src, msg) in inbox {
                     match msg {
                         MvcMsg::Visit { inst, to_in_side } => {
-                            if phase_snapshot[inst as usize] != Phase::Bfs
-                                || !member_in(member_sets_ref, inst as usize, v)
+                            if phase[inst as usize] != Phase::Bfs
+                                || !member_in(&member_sets, inst as usize, v)
                             {
                                 continue;
                             }
@@ -411,12 +401,12 @@ pub fn batch_min_vertex_cut(
                                 st.vis_in = true;
                                 st.fresh_in = true;
                                 st.par_in = ParIn::FwdEdge(src);
-                                progress_ref[inst as usize].fetch_add(1, Ordering::Relaxed);
+                                progress[inst as usize] += 1;
                             } else if !to_in_side && !st.vis_out {
                                 st.vis_out = true;
                                 st.fresh_out = true;
                                 st.par_out = ParOut::RevEdge(src);
-                                progress_ref[inst as usize].fetch_add(1, Ordering::Relaxed);
+                                progress[inst as usize] += 1;
                             }
                         }
                         MvcMsg::Token {
@@ -431,21 +421,21 @@ pub fn batch_min_vertex_cut(
                             // path direction is (this node) → (sender).
                             st.add_flow(src, 1);
                             if st.backtrace_walk(continue_in_side) {
-                                aug_done_ref[inst as usize].store(1, Ordering::Relaxed);
+                                aug_done[inst as usize] = 1;
                             }
                         }
                     }
                 }
                 // Internal closure + sink detection after absorbing a wave.
                 for (&inst, st) in s.iter_mut() {
-                    if phase_snapshot[inst as usize] != Phase::Bfs {
+                    if phase[inst as usize] != Phase::Bfs {
                         continue;
                     }
                     if st.closure() {
-                        progress_ref[inst as usize].fetch_add(1, Ordering::Relaxed);
+                        progress[inst as usize] += 1;
                     }
                     if st.kind == K_SINK && st.vis_in {
-                        sink_hits_ref[inst as usize].fetch_min(v, Ordering::Relaxed);
+                        sink_hits[inst as usize] = sink_hits[inst as usize].min(v);
                     }
                 }
             },
@@ -456,7 +446,7 @@ pub fn batch_min_vertex_cut(
         for i in 0..n_inst {
             match phase[i] {
                 Phase::Bfs => {
-                    let hit = sink_hits[i].load(Ordering::Relaxed);
+                    let hit = sink_hits[i];
                     if hit != u32::MAX {
                         // Augmenting path found: launch the backtrace.
                         phase[i] = Phase::Backtrace;
@@ -465,19 +455,17 @@ pub fn batch_min_vertex_cut(
                             // Path of length 0 cannot happen (X ∩ Y = ∅).
                             unreachable!("sink cannot be a path start");
                         }
-                        sink_hits[i].store(u32::MAX, Ordering::Relaxed);
-                    } else if progress[i].load(Ordering::Relaxed) == 0
-                        && !bfs_has_fresh(&states, i as u32)
-                    {
+                        sink_hits[i] = u32::MAX;
+                    } else if progress[i] == 0 && !bfs_has_fresh(&states, i as u32) {
                         // BFS exhausted without reaching a sink: extract cut.
-                        let cut = extract_cut(&states, &active, instances_ref, i);
+                        let cut = extract_cut(&states, &active, instances, i);
                         results[i] = Some(CutResult::Cut(cut));
                         phase[i] = Phase::Done;
                     }
                 }
                 Phase::Backtrace => {
-                    if aug_done[i].load(Ordering::Relaxed) == 1 {
-                        aug_done[i].store(0, Ordering::Relaxed);
+                    if aug_done[i] == 1 {
+                        aug_done[i] = 0;
                         flow_value[i] += 1;
                         if flow_value[i] > t {
                             results[i] = Some(CutResult::TooBig);
@@ -489,7 +477,7 @@ pub fn batch_min_vertex_cut(
                                     st.reset_bfs();
                                 }
                             }
-                            seed_bfs(&mut states, &pos_of, &instances_ref[i], i as u32);
+                            seed_bfs(&mut states, &pos_of, &instances[i], i as u32);
                             phase[i] = Phase::Bfs;
                         }
                     }

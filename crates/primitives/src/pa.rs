@@ -294,10 +294,9 @@ mod tests {
         let labels: Vec<Option<u32>> = (0..64).map(|v| Some(v / 8)).collect();
         let parts = Parts::from_labels(&labels);
         let roles = steiner_roles(&tree, &parts);
-        let before = *net.metrics();
+        let before = net.metrics().rounds;
         let _ = aggregate_and_share(&mut net, &roles, |_v, _p| Some(1u64), |a, b| a + b).unwrap();
-        let d = net.metrics().since(&before);
-        assert!(d.rounds > 0);
+        assert!(net.metrics().rounds > before);
         // 8 parts of 8 contiguous nodes: peak congestion stays small.
         assert!(
             net.metrics().max_edge_words_in_superstep <= 8,

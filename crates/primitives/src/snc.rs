@@ -1,38 +1,24 @@
 //! SNC — one-round neighbourhood communication (paper Appendix A.1).
 //!
-//! A trivially thin wrapper over one engine superstep, named to keep the
-//! correspondence with the paper's task vocabulary explicit.
+//! One engine superstep on all of V, named to keep the correspondence with
+//! the paper's task vocabulary explicit.
 
-use congest_sim::{CongestError, Inbox, Network, WireMsg};
-
-/// Execute one SNC: every node sends `build(v, state)` messages to
-/// neighbours and absorbs its inbox with `absorb`. Returns the rounds
-/// charged (1 unless messages exceed the per-edge word budget).
-pub fn exchange<S, M>(
-    net: &mut Network,
-    states: &mut [S],
-    build: impl Fn(u32, &S) -> Vec<(u32, M)> + Sync,
-    absorb: impl Fn(u32, &mut S, Inbox<'_, M>) + Sync,
-) -> Result<u64, CongestError>
-where
-    S: Send + Sync,
-    M: WireMsg,
-{
-    net.superstep(states, build, absorb)
-}
+use congest_sim::{CongestError, Network, WireMsg};
 
 /// Convenience SNC: every node learns each neighbour's value of `value(v)`.
 /// Returns, per node, the `(neighbor, value)` pairs (sorted by neighbour).
 pub fn share_with_neighbors<V>(
     net: &mut Network,
-    value: impl Fn(u32) -> V + Sync,
+    value: impl Fn(u32) -> V,
 ) -> Result<Vec<Vec<(u32, V)>>, CongestError>
 where
-    V: WireMsg + Sync + std::fmt::Debug,
+    V: WireMsg + std::fmt::Debug,
 {
     let g = net.graph_handle();
+    let all: Vec<u32> = (0..net.n() as u32).collect();
     let mut states: Vec<Vec<(u32, V)>> = vec![Vec::new(); net.n()];
-    net.superstep(
+    net.superstep_on(
+        &all,
         &mut states,
         |u, _s| {
             let mine = value(u);
@@ -63,16 +49,10 @@ mod tests {
     #[test]
     fn exchange_is_single_round_for_single_words() {
         let g = cycle(4);
-        let mut net = Network::new(g.clone(), NetworkConfig::default());
-        let mut states = vec![0u64; 4];
-        let r = exchange(
-            &mut net,
-            &mut states,
-            |u, _| g.neighbors(u).iter().map(|&v| (v, 1u32)).collect(),
-            |_, s, inbox| *s = inbox.len() as u64,
-        )
-        .unwrap();
-        assert_eq!(r, 1);
-        assert!(states.iter().all(|&c| c == 2));
+        let mut net = Network::new(g, NetworkConfig::default());
+        let got = share_with_neighbors(&mut net, |_| 1u32).unwrap();
+        assert!(got.iter().all(|nbrs| nbrs.len() == 2));
+        let m = net.metrics();
+        assert_eq!((m.rounds, m.supersteps, m.messages, m.words), (1, 1, 8, 8));
     }
 }

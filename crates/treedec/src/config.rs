@@ -1,22 +1,5 @@
 //! Tunable constants of the `Sep` algorithm (paper §3.3).
 
-/// How the distributed recursion schedules the *local* (charge-free) work
-/// of sibling subproblems within one level: split-tree carving, component
-/// materialization, boundary extraction. The charged CONGEST schedule is
-/// identical either way — sibling subgraphs are vertex disjoint, their
-/// flows already share supersteps, and the per-item charging order is
-/// fixed — so both schedules must produce bit-identical decompositions and
-/// metrics (locked by the `branch_schedules_agree` proptest).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BranchSchedule {
-    /// Fan sibling branches out over rayon in weight-balanced chunks (the
-    /// engine's edge-balanced partitioning idiom).
-    #[default]
-    Parallel,
-    /// Process siblings one after another on the calling thread.
-    Sequential,
-}
-
 /// Constants steering `Sep`. All ratios are kept as integer fractions so the
 /// paper's values are representable exactly.
 #[derive(Clone, Copy, Debug)]
@@ -50,9 +33,6 @@ pub struct SepConfig {
     /// not balanced (strict superset of the paper's acceptance; same O(t²)
     /// size bound). Paper behaviour: false.
     pub union_fallback: bool,
-    /// Scheduling of sibling-branch local work in the distributed
-    /// recursion (never affects outputs or charged metrics).
-    pub branch_schedule: BranchSchedule,
 }
 
 impl SepConfig {
@@ -70,7 +50,6 @@ impl SepConfig {
             sampled_pairs: 95,
             trials: 5 * n.max(2).ilog2() as usize,
             union_fallback: false,
-            branch_schedule: BranchSchedule::default(),
         }
     }
 
@@ -88,7 +67,6 @@ impl SepConfig {
             sampled_pairs: 12,
             trials: 2 + n.max(2).ilog2() as usize / 2,
             union_fallback: true,
-            branch_schedule: BranchSchedule::default(),
         }
     }
 

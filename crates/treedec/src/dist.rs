@@ -22,27 +22,24 @@
 //! subproblem; combined with the engine's scoped supersteps the whole
 //! construction costs O(work touched), not O(levels · n²).
 //!
-//! ## Sibling-branch scheduling
+//! ## Sibling branches
 //!
-//! Post-separator components are vertex disjoint, so the *local* work of
-//! sibling subproblems (split-tree carving, component search, boundary
-//! extraction) is embarrassingly parallel: it fans out over rayon in
-//! weight-balanced chunks (the engine's [`balanced_ranges`] idiom), keyed
-//! by [`SepConfig::branch_schedule`]. The *charged* schedule is untouched —
-//! sibling flows already share supersteps and per-item charging stays in
-//! deterministic item order — so parallel and sequential scheduling produce
-//! bit-identical decompositions and metrics (the parallel-composition rule;
-//! see `congest_sim::Metrics::par_absorb` for the aggregation law and the
-//! `branch_schedules_agree` proptest for the lock).
+//! Post-separator components are vertex disjoint, so sibling subproblems
+//! run concurrently in CONGEST: their flows share supersteps, and their
+//! costs compose by the parallel-composition rule (see
+//! `congest_sim::Metrics::par_absorb` for the aggregation law). Their
+//! *local* work (split-tree carving, component search, boundary
+//! extraction) is charge-free and runs in item order, materialization over
+//! one reused `SepCore`, so tree node ids and the per-item charging order
+//! are deterministic.
 
-use crate::config::{BranchSchedule, SepConfig};
+use crate::config::SepConfig;
 use crate::decomp::{DecompError, NodeInfo};
-use crate::region::{materialize, Materialized};
+use crate::region::materialize;
 use crate::sep::{SepCore, SepPath};
 use crate::split::{split_to_completion, STree};
-use congest_sim::{balanced_ranges, CongestError, Network};
+use congest_sim::{CongestError, Network};
 use rand::Rng;
-use rayon::prelude::*;
 use subgraph_ops::ccd;
 use subgraph_ops::global::{build_global_tree, GlobalTree};
 use subgraph_ops::mvc::{batch_min_vertex_cut, CutInstance, CutResult};
@@ -162,52 +159,6 @@ enum ItemSep {
     Failed,
 }
 
-/// Run `f` over `0..n_items`, either sequentially or fanned out over rayon
-/// in weight-balanced chunks (`prefix[i]` = cumulative weight of the first
-/// `i` items — the engine's edge-balanced partitioning idiom). Worker
-/// scratch comes from `pool` (grown with `mk_scratch` on demand and handed
-/// back for the next level — no per-level O(n) allocations); results come
-/// back in item order either way, so the two schedules are observably
-/// identical.
-fn scheduled_map<T, S>(
-    schedule: BranchSchedule,
-    n_items: usize,
-    prefix: &[u64],
-    pool: &mut Vec<S>,
-    mk_scratch: impl Fn() -> S,
-    f: impl Fn(&mut S, usize) -> T + Sync,
-) -> Vec<T>
-where
-    T: Send,
-    S: Send,
-{
-    match schedule {
-        BranchSchedule::Sequential => {
-            if pool.is_empty() {
-                pool.push(mk_scratch());
-            }
-            let s = &mut pool[0];
-            (0..n_items).map(|i| f(s, i)).collect()
-        }
-        BranchSchedule::Parallel => {
-            let chunks = std::thread::available_parallelism()
-                .map_or(1, |p| p.get())
-                .clamp(1, 64);
-            let ranges = balanced_ranges(n_items, chunks, |i| prefix[i]);
-            while pool.len() < ranges.len() {
-                pool.push(mk_scratch());
-            }
-            let jobs: Vec<(std::ops::Range<usize>, &mut S)> =
-                ranges.into_iter().zip(pool.iter_mut()).collect();
-            let parts: Vec<Vec<T>> = jobs
-                .into_par_iter()
-                .map(|(r, s)| r.map(|i| f(s, i)).collect())
-                .collect();
-            parts.into_iter().flatten().collect()
-        }
-    }
-}
-
 /// Execute upflow/downflow traffic equivalent to one STA + total-share pass
 /// over the given split trees (the real flows `Split` needs per round:
 /// subtree sizes up, totals down).
@@ -239,7 +190,7 @@ fn component_measures_on(
     net: &mut Network,
     gtree: &GlobalTree,
     active: &[u32],
-    is_active: impl Fn(u32) -> bool + Sync,
+    is_active: impl Fn(u32) -> bool,
     mu: &[u64],
     labels: &mut [Option<u32>],
 ) -> Result<(Vec<u32>, Vec<u64>), CongestError> {
@@ -334,7 +285,6 @@ fn batched_sep_attempt(
     // Iterations: harvest split-tree roots, lockstep across items.
     let iters = cfg.iterations(t);
     let mut cur: Vec<Vec<u32>> = items.iter().map(|it| it.to_vec()).collect(); // G_i members
-    let mut carve_pool: Vec<()> = Vec::new(); // unit scratch, kept for the pool contract
     let mut r_star: Vec<Vec<u32>> = vec![Vec::new(); n_items];
     let mut tis: Vec<Vec<STree>> = vec![Vec::new(); n_items]; // all split trees per item
     for _i in 1..=iters {
@@ -363,39 +313,15 @@ fn batched_sep_attempt(
         let trees = part_bfs_trees(net, &parts, &roots)?;
 
         // Split (centralized control over node-reported structure, with the
-        // STA/total flows charged per split round — DESIGN.md §4.4).
-        // Sibling subproblems are disjoint: the carving itself fans out
-        // over rayon (weight-balanced by |G_i|), while the flows are
-        // charged afterwards in deterministic slot order — the sequential
-        // schedule the goldens lock.
+        // STA/total flows charged per split round — DESIGN.md §4.4), item
+        // by item in slot order.
         let split_rounds = (t.max(2)).ilog2() as usize + 2;
-        let mut weight_prefix = Vec::with_capacity(live.len() + 1);
-        weight_prefix.push(0u64);
-        for &i in &live {
-            weight_prefix.push(weight_prefix.last().unwrap() + cur[i].len() as u64);
-        }
-        let trees_ref = &trees;
-        let mu_ref = &scratch.mu;
-        let cur_ref = &cur;
-        let live_ref = &live;
-        let carved: Vec<(STree, Vec<STree>)> = scheduled_map(
-            cfg.branch_schedule,
-            live.len(),
-            &weight_prefix,
-            &mut carve_pool,
-            || (),
-            |_, slot| {
-                let i = live_ref[slot];
-                let stree = stree_from_roles(trees_ref, slot as u32, cur_ref[i][0]);
-                let ti = split_to_completion(stree.clone(), mu_ref, mu_g[i], t, cfg);
-                (stree, ti)
-            },
-        );
-        for (slot, (stree, ti)) in carved.into_iter().enumerate() {
-            let i = live[slot];
+        for (slot, &i) in live.iter().enumerate() {
+            let stree = stree_from_roles(&trees, slot as u32, cur[i][0]);
             for _ in 0..split_rounds {
                 charge_split_flows(net, &[(slot as u32, &stree)], &scratch.mu)?;
             }
+            let ti = split_to_completion(stree, &scratch.mu, mu_g[i], t, cfg);
             let mut ri: Vec<u32> = ti.iter().map(|tr| tr.root).collect();
             ri.sort_unstable();
             ri.dedup();
@@ -618,7 +544,7 @@ pub fn decompose_distributed(
     let mut info: Vec<NodeInfo> = Vec::new();
     let mut t = t0.max(2);
     let mut scratch = SepScratch::new(n);
-    let mut mat_pool: Vec<SepCore> = Vec::new();
+    let mut core = SepCore::new(n);
     let mut level = LevelArena::default();
     let mut next_level = LevelArena::default();
     level.push_item(None, &(0..n as u32).collect::<Vec<u32>>(), &[]);
@@ -650,45 +576,18 @@ pub fn decompose_distributed(
         }
         let seps: Vec<(Vec<u32>, SepPath)> = seps.into_iter().map(Option::unwrap).collect();
 
-        // Materialize tree nodes and the next level: the per-item local
-        // work (component search, boundary extraction) fans out over
-        // rayon; bags and child items are then appended sequentially in
-        // item order, keeping tree node ids deterministic.
-        let mut weight_prefix = Vec::with_capacity(n_items + 1);
-        weight_prefix.push(0u64);
-        for i in 0..n_items {
-            weight_prefix.push(weight_prefix.last().unwrap() + level.gpx_of(i).len() as u64);
-        }
-        let level_ref = &level;
-        let seps_ref = &seps;
-        let g_ref = &g;
-        let materialized: Vec<Materialized> = scheduled_map(
-            cfg.branch_schedule,
-            n_items,
-            &weight_prefix,
-            &mut mat_pool,
-            || SepCore::new(n),
-            |s, i| {
-                materialize(
-                    g_ref,
-                    s,
-                    level_ref.gpx_of(i),
-                    level_ref.inh_of(i),
-                    &seps_ref[i].0,
-                )
-            },
-        );
-
+        // Materialize tree nodes and the next level in item order, keeping
+        // tree node ids deterministic.
         next_level.clear();
-        for (i, m) in materialized.into_iter().enumerate() {
-            let (sep, _path) = &seps[i];
+        for (i, (sep, _path)) in seps.into_iter().enumerate() {
+            let m = materialize(&g, &mut core, level.gpx_of(i), level.inh_of(i), &sep);
             let parent = level.items[i].parent;
             if m.is_leaf {
                 td.push_bag(parent, m.bag);
                 info.push(NodeInfo {
                     gpx: level.gpx_of(i).to_vec(),
                     inherited: level.inh_of(i).to_vec(),
-                    sep: sep.clone(),
+                    sep,
                     is_leaf: true,
                 });
                 continue;
@@ -701,7 +600,7 @@ pub fn decompose_distributed(
             info.push(NodeInfo {
                 gpx: level.gpx_of(i).to_vec(),
                 inherited: level.inh_of(i).to_vec(),
-                sep: sep.clone(),
+                sep,
                 is_leaf: false,
             });
         }
@@ -790,24 +689,6 @@ mod tests {
             decompose_distributed(&mut net, 2, &cfg, &mut rng).unwrap_err(),
             DecompError::Disconnected
         );
-    }
-
-    #[test]
-    fn sequential_branch_schedule_matches_parallel() {
-        let g = ktree(120, 2, 9);
-        let run_with = |schedule: BranchSchedule| {
-            let mut net = Network::new(g.clone(), NetworkConfig::default());
-            let mut cfg = SepConfig::practical(g.n());
-            cfg.branch_schedule = schedule;
-            let mut rng = SmallRng::seed_from_u64(5);
-            let out = decompose_distributed(&mut net, 3, &cfg, &mut rng).unwrap();
-            (out.td, out.rounds, *net.metrics())
-        };
-        let (td_p, r_p, m_p) = run_with(BranchSchedule::Parallel);
-        let (td_s, r_s, m_s) = run_with(BranchSchedule::Sequential);
-        assert_eq!(td_p.bags, td_s.bags);
-        assert_eq!(r_p, r_s);
-        assert_eq!(m_p, m_s);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod region;
 pub mod sep;
 pub mod split;
 
-pub use config::{BranchSchedule, SepConfig};
+pub use config::SepConfig;
 pub use decomp::{decompose_centralized, DecompError, DecompOutcome, RegionFault};
 pub use dist::{decompose_distributed, DistDecompOutcome};
 pub use region::{decompose_region, RegionNode, RegionOutcome};

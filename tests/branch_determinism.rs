@@ -1,38 +1,26 @@
-//! Locks for the copy-free recursion rebuild.
+//! Determinism locks for the distributed recursion.
 //!
-//! 1. **Schedule equivalence** (proptest): the distributed decomposition's
-//!    sibling-branch scheduling (`BranchSchedule::Parallel` vs
-//!    `Sequential`) must be observably identical — same tree, same
-//!    recursion records, same charged metrics — on every scenario-registry
-//!    family. The parallel path only fans out charge-free local work; this
-//!    suite keeps it that way.
-//! 2. **Repeated-run bit-identity**: two executions in the same process
-//!    (fresh hasher state per `HashMap`) must agree bit for bit — the
-//!    guard behind the duplicate-key determinism sweep (stable sorts /
-//!    full tiebreak keys everywhere order can leak from hash iteration).
-//! 3. **Cross-component decode regression**: in the global vertex-id
+//! 1. **Repeated-run bit-identity**: two executions in the same process
+//!    (fresh hasher state per `HashMap`) must agree bit for bit — same
+//!    tree, same recursion records, same charged metrics. This guards the
+//!    duplicate-key determinism sweep (stable sorts / full tiebreak keys
+//!    everywhere order can leak from hash iteration).
+//! 2. **Cross-component decode regression**: in the global vertex-id
 //!    space, labels of different components share no targets, so
 //!    `distlabel::decode` must return the infinite distance for every
 //!    cross-component pair of a `multi_component` scenario.
 
 use congest_sim::{Metrics, Network, NetworkConfig};
 use lowtw::{distlabel, treedec, twgraph};
-use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use scenarios::{corpus, split_components};
-use treedec::{BranchSchedule, DistDecompOutcome};
+use treedec::DistDecompOutcome;
 use twgraph::{UGraph, INF};
 
-/// Decompose one connected graph under the given schedule.
-fn decompose_with(
-    g: &UGraph,
-    t0: u64,
-    seed: u64,
-    schedule: BranchSchedule,
-) -> (DistDecompOutcome, Metrics) {
-    let mut cfg = treedec::SepConfig::practical(g.n());
-    cfg.branch_schedule = schedule;
+/// Decompose one connected graph.
+fn decompose_with(g: &UGraph, t0: u64, seed: u64) -> (DistDecompOutcome, Metrics) {
+    let cfg = treedec::SepConfig::practical(g.n());
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut net = Network::new(g.clone(), NetworkConfig::default());
     let out =
@@ -61,35 +49,6 @@ fn assert_outcomes_identical(a: &DistDecompOutcome, b: &DistDecompOutcome, ctx: 
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
-    /// Every scenario-registry family, every component: parallel and
-    /// sequential branch schedules produce identical decompositions and
-    /// identical charged metrics.
-    #[test]
-    fn branch_schedules_agree(seed in 0u64..500) {
-        for sc in corpus() {
-            let mut sc = sc;
-            sc.seed = sc.seed.wrapping_add(seed);
-            let g = sc.graph();
-            let inst = sc.instance();
-            for (ci, part) in split_components(&g, &inst).iter().enumerate() {
-                if part.graph.n() <= 1 {
-                    continue;
-                }
-                let ctx = format!("{}#c{ci}", sc.name);
-                let (par, m_par) =
-                    decompose_with(&part.graph, sc.t0, sc.seed, BranchSchedule::Parallel);
-                let (seq, m_seq) =
-                    decompose_with(&part.graph, sc.t0, sc.seed, BranchSchedule::Sequential);
-                assert_outcomes_identical(&par, &seq, &ctx);
-                assert_eq!(m_par, m_seq, "{ctx}: charged metrics diverged");
-            }
-        }
-    }
-}
-
 /// Two runs in one process (distinct hasher states for every `HashMap`)
 /// must agree bit for bit: decomposition output AND charged metrics.
 #[test]
@@ -103,8 +62,8 @@ fn repeated_runs_bit_identical() {
         twgraph::gen::grid(9, 9),
     ];
     for (gi, g) in graphs.iter().enumerate() {
-        let (a, ma) = decompose_with(g, 2, 11, BranchSchedule::Parallel);
-        let (b, mb) = decompose_with(g, 2, 11, BranchSchedule::Parallel);
+        let (a, ma) = decompose_with(g, 2, 11);
+        let (b, mb) = decompose_with(g, 2, 11);
         assert_outcomes_identical(&a, &b, &format!("graph {gi}"));
         assert_eq!(ma, mb, "graph {gi}: metrics diverged across repeated runs");
     }

@@ -1,7 +1,7 @@
 //! Metamorphic invariants of the scenario harness.
 //!
-//! Three transformation families, each with a provable relation between
-//! the original and transformed runs:
+//! Two transformation families, each with a provable relation between the
+//! original and transformed runs:
 //!
 //! 1. **Uniform weight scaling** — multiplying every edge weight by λ
 //!    multiplies every finite SSSP distance by λ, preserves unreachability,
@@ -15,20 +15,11 @@
 //!    gathers in vertex-id order, so supersteps legitimately differ
 //!    between isomorphic executions (verified and documented by
 //!    `relabeling_changes_schedule_but_not_outputs`).
-//! 3. **Execution partitioning** — `NetworkConfig::parallel_threshold`
-//!    ∈ {0, default, ∞} switches the engine between the rayon-pool
-//!    edge-partitioned send/recv path and the sequential path (with the
-//!    offline rayon stand-in both run on one thread; with real rayon the
-//!    0-threshold path fans out to N workers). Charged metrics must be
-//!    identical on every path — the cost model may not depend on how the
-//!    simulator happens to execute, i.e. it is thread-count invariant
-//!    (1, 2, N) by construction of the partitioned path.
 //!
 //! The portfolio pipelines get the same treatment: counting cells are
 //! weight-model invariant (the counts live on the communication graph),
-//! FO verdicts are relabeling-invariant (closed sentences are
-//! isomorphism-invariant), and the walk/hop/MVC probes are
-//! partitioning-invariant like every other charged primitive.
+//! and FO verdicts are relabeling-invariant (closed sentences are
+//! isomorphism-invariant).
 
 use congest_sim::{Metrics, Network, NetworkConfig};
 use lowtw::{baselines, bmatch, distlabel, girth, treedec, twgraph};
@@ -40,15 +31,10 @@ use twgraph::{MultiDigraph, UGraph, INF};
 
 /// Full distributed pipeline (decompose → label → query from 0) on one
 /// connected graph; returns the distances and the net's final metrics.
-fn sssp_pipeline(
-    g: &UGraph,
-    inst: &MultiDigraph,
-    t0: u64,
-    net_cfg: NetworkConfig,
-) -> (Vec<u64>, Metrics) {
+fn sssp_pipeline(g: &UGraph, inst: &MultiDigraph, t0: u64) -> (Vec<u64>, Metrics) {
     let cfg = treedec::SepConfig::practical(g.n());
     let mut rng = SmallRng::seed_from_u64(7);
-    let mut net = Network::new(g.clone(), net_cfg);
+    let mut net = Network::new(g.clone(), NetworkConfig::default());
     let out = treedec::decompose_distributed(&mut net, t0, &cfg, &mut rng).unwrap();
     let (labels, _) =
         distlabel::build_labels_distributed(&mut net, inst, &out.td, &out.info).unwrap();
@@ -75,13 +61,13 @@ fn connected_corpus() -> Vec<(&'static str, UGraph, MultiDigraph, u64)> {
 #[test]
 fn weight_scaling_scales_distances_and_preserves_metrics() {
     for (name, g, inst, t0) in connected_corpus() {
-        let (d1, m1) = sssp_pipeline(&g, &inst, t0, NetworkConfig::default());
+        let (d1, m1) = sssp_pipeline(&g, &inst, t0);
         for lambda in [7u64, 13] {
             let mut scaled = inst.clone();
             for a in scaled.arcs_mut() {
                 a.weight *= lambda;
             }
-            let (d2, m2) = sssp_pipeline(&g, &scaled, t0, NetworkConfig::default());
+            let (d2, m2) = sssp_pipeline(&g, &scaled, t0);
             for v in 0..g.n() {
                 if d1[v] >= INF {
                     assert!(d2[v] >= INF, "{name}: v={v} became reachable under scaling");
@@ -252,77 +238,6 @@ fn fo_verdicts_are_relabeling_invariant() {
                     "{name}: bfs_dist({u}, {v}) not π-equivariant"
                 );
             }
-        }
-    }
-}
-
-/// The portfolio probes (walk spectrum, bounded hop flood, batched MVC)
-/// ride the same engine invariant as the SSSP pipeline: charged metrics
-/// and outputs may not depend on how the simulator partitions execution.
-#[test]
-fn portfolio_probes_invariant_across_partitioning() {
-    for (name, g, _inst, t0) in connected_corpus() {
-        let run = |net_cfg: NetworkConfig| {
-            let cfg = treedec::SepConfig::practical(g.n());
-            let mut rng = SmallRng::seed_from_u64(7);
-            let mut net = Network::new(g.clone(), net_cfg);
-            let out = treedec::decompose_distributed(&mut net, t0, &cfg, &mut rng).unwrap();
-            let active: Vec<u32> = (0..g.n() as u32).collect();
-            let spectrum =
-                lowtw::subgraph_ops::probe::closed_walk_spectrum(&mut net, &active, 5).unwrap();
-            let hops =
-                lowtw::subgraph_ops::probe::bounded_hop_distances(&mut net, &active, 2).unwrap();
-            let cuts = lowtw::subgraph_ops::mvc::batch_min_vertex_cut(
-                &mut net,
-                &[lowtw::subgraph_ops::mvc::CutInstance {
-                    members: None,
-                    sources: vec![0],
-                    sinks: vec![g.n() as u32 - 1],
-                }],
-                out.td.width() + 1,
-            )
-            .unwrap();
-            (spectrum, hops, cuts, *net.metrics())
-        };
-        let (s_ref, h_ref, c_ref, m_ref) = run(NetworkConfig::default());
-        for threshold in [0usize, usize::MAX] {
-            let cfg = NetworkConfig {
-                parallel_threshold: threshold,
-                ..NetworkConfig::default()
-            };
-            let (s, h, c, m) = run(cfg);
-            assert_eq!(s, s_ref, "{name}: walk spectrum depends on partitioning");
-            assert_eq!(h, h_ref, "{name}: hop tables depend on partitioning");
-            assert_eq!(c, c_ref, "{name}: MVC results depend on partitioning");
-            assert_eq!(
-                m, m_ref,
-                "{name}: portfolio charged metrics depend on the execution \
-                 partitioning (parallel_threshold = {threshold})"
-            );
-        }
-    }
-}
-
-#[test]
-fn charged_metrics_invariant_across_partitioning() {
-    for (name, g, inst, t0) in connected_corpus() {
-        let (d_ref, m_ref) = sssp_pipeline(&g, &inst, t0, NetworkConfig::default());
-        for threshold in [0usize, usize::MAX] {
-            let cfg = NetworkConfig {
-                parallel_threshold: threshold,
-                ..NetworkConfig::default()
-            };
-            let (d, m) = sssp_pipeline(&g, &inst, t0, cfg);
-            assert_eq!(
-                d, d_ref,
-                "{name}: outputs depend on partitioning ({threshold})"
-            );
-            assert_eq!(
-                m, m_ref,
-                "{name}: charged metrics depend on the execution partitioning \
-                 (parallel_threshold = {threshold}) — the cost model leaked \
-                 thread-count dependence"
-            );
         }
     }
 }
