@@ -15,7 +15,7 @@
 //! `gate`. See `docs/EXPERIMENTS.md` for the spec format and the gate
 //! semantics.
 
-use lowtw_bench::lab::gate::{gate, GateConfig};
+use lowtw_bench::lab::gate::{coverage, gate, GateConfig};
 use lowtw_bench::lab::plan::{plan, Trial};
 use lowtw_bench::lab::results::LabReport;
 use lowtw_bench::lab::runner::run_trials;
@@ -60,6 +60,7 @@ const USAGE: &str = "usage:
   lab plan --profile <name> [--experiment <name>]
   lab run  --profile <name> [--experiment <name>] [--out <file>] [--bless]
   lab gate [--candidate <file>] [--baseline-dir <dir>] [--wall-tolerance <frac>]
+           [--experiment <name>]
 
   list   show every experiment spec with its profiles and variants
   plan   print the trial grid a run would execute
@@ -67,7 +68,9 @@ const USAGE: &str = "usage:
          --bless rewrites the committed BENCH_<experiment>.json baselines
   gate   diff a candidate report (default LAB_RESULTS.json) against the
          committed baselines: deterministic drift fails hard, wall-clock
-         regressions fail above the tolerance (default 0.20, same host only)";
+         regressions fail above the tolerance (default 0.20, same host only);
+         without --experiment, a spec with no candidate rows and a
+         BENCH_<name>.json with no spec fail too";
 
 #[derive(Debug, Default)]
 struct Opts {
@@ -268,6 +271,17 @@ fn gate_cmd(specs: &[ExperimentSpec], opts: &Opts) -> ExitCode {
     if experiments.is_empty() {
         eprintln!("lab gate: candidate has no rows to compare");
         return ExitCode::FAILURE;
+    }
+    // A whole-suite gate also fails on a spec the run left out and on a
+    // baseline whose spec is gone.
+    if opts.experiment.is_none() {
+        match coverage(specs, &candidate, &baseline_dir) {
+            Ok(gaps) => outcome.failures.extend(gaps),
+            Err(e) => {
+                eprintln!("lab gate: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
     }
     // Also require a baseline for every spec'd experiment the candidate
     // claims to cover — and fail on candidates for unknown experiments.

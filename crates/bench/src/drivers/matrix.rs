@@ -37,7 +37,7 @@ pub fn run(trial: &Trial) -> TrialRow {
     row.det("messages", rep.metrics.messages);
     row.det("words", rep.metrics.words);
     row.det("charged_rounds", rep.metrics.charged_rounds);
-    row.det("congestion", rep.metrics.congestion);
+    row.det("congestion", rep.metrics.max_edge_words_in_superstep);
     for (key, value) in &rep.detail {
         classify_detail(&mut row, key, *value);
     }

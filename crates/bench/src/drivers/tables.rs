@@ -68,17 +68,14 @@ fn e1_headline(row: &mut RowBuilder) {
         row.det(format!("n{n}/dl_rounds"), dl_rounds);
         row.det(format!("n{n}/sssp_query_rounds"), q_rounds);
         row.det(format!("n{n}/girth_dir_rounds"), girth_rounds);
-        rows.push((
-            vec![
-                n.to_string(),
-                d.to_string(),
-                fmt(td_rounds),
-                fmt(dl_rounds),
-                fmt(q_rounds),
-                fmt(girth_rounds),
-            ],
-            serde_json::json!({"exp": "e1", "n": n, "td": td_rounds, "dl": dl_rounds}),
-        ));
+        rows.push(vec![
+            n.to_string(),
+            d.to_string(),
+            fmt(td_rounds),
+            fmt(dl_rounds),
+            fmt(q_rounds),
+            fmt(girth_rounds),
+        ]);
     }
     table(
         "E1 headline (partial 3-trees): rounds of decomposition / labeling / SSSP query / directed girth",
@@ -108,17 +105,14 @@ fn e2_separator(row: &mut RowBuilder) {
         row.det(format!("{name}/bound"), cfg.size_bound(out.t_used) as u64);
         row.det(format!("{name}/t_used"), out.t_used);
         row.det(format!("{name}/path"), path_code(&out.path));
-        rows.push((
-            vec![
-                name.to_string(),
-                n.to_string(),
-                out.t_used.to_string(),
-                out.separator.len().to_string(),
-                cfg.size_bound(out.t_used).to_string(),
-                format!("{}", path_code(&out.path)),
-            ],
-            serde_json::json!({"exp": "e2", "family": name, "sep": out.separator.len()}),
-        ));
+        rows.push(vec![
+            name.to_string(),
+            n.to_string(),
+            out.t_used.to_string(),
+            out.separator.len().to_string(),
+            cfg.size_bound(out.t_used).to_string(),
+            format!("{}", path_code(&out.path)),
+        ]);
     }
     table(
         "E2 Lemma 1: separator size ≤ O(t²) bound (centralized quality)",
@@ -146,19 +140,16 @@ fn e3_decomposition(row: &mut RowBuilder) {
             stats.width as f64 / (k as f64 * k as f64 * logn),
         );
         row.info(format!("{key}/depth_norm"), stats.depth as f64 / logn);
-        rows.push((
-            vec![
-                format!("banded(k={k})"),
-                n.to_string(),
-                d.to_string(),
-                stats.width.to_string(),
-                format!("{:.2}", stats.width as f64 / (k as f64 * k as f64 * logn)),
-                stats.depth.to_string(),
-                format!("{:.2}", stats.depth as f64 / logn),
-                fmt(rounds),
-            ],
-            serde_json::json!({"exp": "e3", "n": n, "width": stats.width, "depth": stats.depth}),
-        ));
+        rows.push(vec![
+            format!("banded(k={k})"),
+            n.to_string(),
+            d.to_string(),
+            stats.width.to_string(),
+            format!("{:.2}", stats.width as f64 / (k as f64 * k as f64 * logn)),
+            stats.depth.to_string(),
+            format!("{:.2}", stats.depth as f64 / logn),
+            fmt(rounds),
+        ]);
     }
     table(
         "E3 Theorem 1: decomposition width/(τ²ln n), depth/ln n, distributed rounds",
@@ -199,20 +190,17 @@ fn e4_labeling(row: &mut RowBuilder) {
             format!("n{n}/max_norm"),
             max_w as f64 / (k as f64 * k as f64 * log2n * log2n),
         );
-        rows.push((
-            vec![
-                n.to_string(),
-                format!("{avg_w:.0}"),
-                max_w.to_string(),
-                format!(
-                    "{:.2}",
-                    max_w as f64 / (k as f64 * k as f64 * log2n * log2n)
-                ),
-                fmt(rounds),
-                "exact".into(),
-            ],
-            serde_json::json!({"exp": "e4", "n": n, "max_words": max_w}),
-        ));
+        rows.push(vec![
+            n.to_string(),
+            format!("{avg_w:.0}"),
+            max_w.to_string(),
+            format!(
+                "{:.2}",
+                max_w as f64 / (k as f64 * k as f64 * log2n * log2n)
+            ),
+            fmt(rounds),
+            "exact".into(),
+        ]);
     }
     table(
         "E4 Theorem 2: label size (words) vs τ²log²n and construction rounds",
@@ -251,21 +239,18 @@ fn e5_sssp(row: &mut RowBuilder) {
         row.det(format!("n{n}/query_rounds"), q_rounds);
         row.det(format!("n{n}/bellman_ford_rounds"), bf_rounds);
         row.det(format!("n{n}/breakeven_queries"), breakeven);
-        rows.push((
-            vec![
-                n.to_string(),
-                d.to_string(),
-                fmt(dl_rounds),
-                fmt(q_rounds),
-                fmt(bf_rounds),
-                if breakeven == u64::MAX {
-                    "-".into()
-                } else {
-                    breakeven.to_string()
-                },
-            ],
-            serde_json::json!({"exp": "e5", "n": n, "dl": dl_rounds, "bford": bf_rounds}),
-        ));
+        rows.push(vec![
+            n.to_string(),
+            d.to_string(),
+            fmt(dl_rounds),
+            fmt(q_rounds),
+            fmt(bf_rounds),
+            if breakeven == u64::MAX {
+                "-".into()
+            } else {
+                breakeven.to_string()
+            },
+        ]);
     }
     table(
         "E5 SSSP: one-time labeling + per-query broadcast vs per-source Bellman–Ford",
@@ -314,10 +299,7 @@ fn e6_cdl_q(row: &mut RowBuilder) {
         });
         row.det(format!("c{c}/q"), q as u64);
         row.det(format!("c{c}/rounds"), metrics.rounds);
-        rows.push((
-            vec![c.to_string(), q.to_string(), fmt(metrics.rounds), exp],
-            serde_json::json!({"exp": "e6", "c": c, "rounds": metrics.rounds}),
-        ));
+        rows.push(vec![c.to_string(), q.to_string(), fmt(metrics.rounds), exp]);
         prev = Some((q, metrics.rounds));
     }
     table(
@@ -358,21 +340,18 @@ fn e7_matching(row: &mut RowBuilder) {
         row.det(format!("n{n}/attempts"), ours.attempts as u64);
         row.det(format!("n{n}/baseline_rounds"), base_rounds);
         row.det(format!("n{n}/thm4_rounds"), t4_rounds);
-        rows.push((
-            vec![
-                n.to_string(),
-                ours.size().to_string(),
-                ours.augmentations.to_string(),
-                ours.attempts.to_string(),
-                fmt(base_rounds),
-                if t4_rounds > 0 {
-                    fmt(t4_rounds)
-                } else {
-                    "-".into()
-                },
-            ],
-            serde_json::json!({"exp": "e7", "n": n, "size": ours.size()}),
-        ));
+        rows.push(vec![
+            n.to_string(),
+            ours.size().to_string(),
+            ours.augmentations.to_string(),
+            ours.attempts.to_string(),
+            fmt(base_rounds),
+            if t4_rounds > 0 {
+                fmt(t4_rounds)
+            } else {
+                "-".into()
+            },
+        ]);
     }
     table(
         "E7 Theorem 4: exact matching (== Hopcroft–Karp) vs alternating-BFS baseline",
@@ -404,17 +383,14 @@ fn e8_girth(row: &mut RowBuilder) {
         row.det(format!("{key}/rounds_per_trial"), run.rounds_per_trial);
         row.det(format!("{key}/trials"), run.trials as u64);
         row.det(format!("{key}/apsp_rounds"), apsp_rounds);
-        rows.push((
-            vec![
-                format!("gadget({bits})"),
-                n.to_string(),
-                run.girth.to_string(),
-                fmt(run.rounds_per_trial),
-                fmt(apsp_rounds),
-                ratio(apsp_rounds, n as u64),
-            ],
-            serde_json::json!({"exp": "e8", "bits": bits, "girth": run.girth}),
-        ));
+        rows.push(vec![
+            format!("gadget({bits})"),
+            n.to_string(),
+            run.girth.to_string(),
+            fmt(run.rounds_per_trial),
+            fmt(apsp_rounds),
+            ratio(apsp_rounds, n as u64),
+        ]);
     }
     table(
         "E8 Theorem 5: girth per-trial rounds vs APSP(diameter) rounds on the constant-D family",
@@ -451,16 +427,13 @@ fn e8_girth(row: &mut RowBuilder) {
         row.det(format!("trend_n{n}/diameter"), d as u64);
         row.det(format!("trend_n{n}/rounds_per_trial"), run.rounds_per_trial);
         row.det(format!("trend_n{n}/apsp_rounds"), apsp_rounds);
-        rows.push((
-            vec![
-                n.to_string(),
-                d.to_string(),
-                fmt(run.rounds_per_trial),
-                fmt(apsp_rounds),
-                ratio(run.rounds_per_trial, apsp_rounds),
-            ],
-            serde_json::json!({"exp": "e8b", "n": n}),
-        ));
+        rows.push(vec![
+            n.to_string(),
+            d.to_string(),
+            fmt(run.rounds_per_trial),
+            fmt(apsp_rounds),
+            ratio(run.rounds_per_trial, apsp_rounds),
+        ]);
     }
     table(
         "E8b separation trend at fixed τ = 2: girth rnds/trial vs APSP rnds as n grows",
@@ -494,14 +467,11 @@ fn e9_primitives(row: &mut RowBuilder) {
             format!("pa_k{k}/congestion"),
             net.metrics().max_edge_words_in_superstep,
         );
-        rows.push((
-            vec![
-                k.to_string(),
-                fmt(rounds),
-                fmt(net.metrics().max_edge_words_in_superstep),
-            ],
-            serde_json::json!({"exp": "e9a", "k": k, "rounds": rounds}),
-        ));
+        rows.push(vec![
+            k.to_string(),
+            fmt(rounds),
+            fmt(net.metrics().max_edge_words_in_superstep),
+        ]);
     }
     table(
         "E9a Lemma 9: PA rounds and peak edge congestion vs τ (32 parts on banded paths)",
@@ -534,10 +504,7 @@ fn e9_primitives(row: &mut RowBuilder) {
         };
         row.det(format!("mvc_r{rows_dim}/cut"), cut as u64);
         row.det(format!("mvc_r{rows_dim}/rounds"), rounds);
-        rows.push((
-            vec![rows_dim.to_string(), cut.to_string(), fmt(rounds)],
-            serde_json::json!({"exp": "e9b", "rows": rows_dim, "cut": cut}),
-        ));
+        rows.push(vec![rows_dim.to_string(), cut.to_string(), fmt(rounds)]);
     }
     table(
         "E9b Corollary 2: MVC rounds vs cut size t (grid columns)",
@@ -565,10 +532,7 @@ fn e9_primitives(row: &mut RowBuilder) {
         .unwrap();
         let rounds = net.metrics().rounds - before;
         row.det(format!("bct_h{h}/rounds"), rounds);
-        rows.push((
-            vec![h.to_string(), fmt(rounds)],
-            serde_json::json!({"exp": "e9c", "h": h, "rounds": rounds}),
-        ));
+        rows.push(vec![h.to_string(), fmt(rounds)]);
     }
     table(
         "E9c Corollary 3: BCT(h) rounds vs message count h",
@@ -618,14 +582,8 @@ fn a1_pa_ablation(row: &mut RowBuilder) {
         "A1 ablation: Steiner-restricted PA vs naive within-part flooding (16×64 grid, rows as parts)",
         &["engine", "rounds"],
         &[
-            (
-                vec!["steiner".into(), fmt(steiner)],
-                serde_json::json!({"exp": "a1", "engine": "steiner", "rounds": steiner}),
-            ),
-            (
-                vec!["naive".into(), fmt(naive)],
-                serde_json::json!({"exp": "a1", "engine": "naive", "rounds": naive}),
-            ),
+            vec!["steiner".into(), fmt(steiner)],
+            vec!["naive".into(), fmt(naive)],
         ],
     );
 }
@@ -646,15 +604,12 @@ fn a2_pair_sampling(row: &mut RowBuilder) {
         row.det(format!("pairs{pairs}/sep"), out.separator.len() as u64);
         row.det(format!("pairs{pairs}/t_used"), out.t_used);
         row.det(format!("pairs{pairs}/path"), path_code(&out.path));
-        rows.push((
-            vec![
-                pairs.to_string(),
-                out.separator.len().to_string(),
-                format!("{:?}", out.path),
-                out.t_used.to_string(),
-            ],
-            serde_json::json!({"exp": "a2", "pairs": pairs, "sep": out.separator.len()}),
-        ));
+        rows.push(vec![
+            pairs.to_string(),
+            out.separator.len().to_string(),
+            format!("{:?}", out.path),
+            out.t_used.to_string(),
+        ]);
     }
     table(
         "A2 ablation: sampled pair count in Sep step 4",
@@ -679,15 +634,12 @@ fn a3_constants(row: &mut RowBuilder) {
         row.det(format!("{name}/sep"), out.separator.len() as u64);
         row.det(format!("{name}/t_used"), out.t_used);
         row.det(format!("{name}/path"), path_code(&out.path));
-        rows.push((
-            vec![
-                name.to_string(),
-                out.separator.len().to_string(),
-                format!("{:?}", out.path),
-                out.t_used.to_string(),
-            ],
-            serde_json::json!({"exp": "a3", "cfg": name, "sep": out.separator.len()}),
-        ));
+        rows.push(vec![
+            name.to_string(),
+            out.separator.len().to_string(),
+            format!("{:?}", out.path),
+            out.t_used.to_string(),
+        ]);
     }
     table(
         "A3 ablation: paper constants vs practical constants (n = 600, k = 2)",

@@ -19,9 +19,14 @@
 //! * **Profile or schema mismatch** refuses to compare at all, with a
 //!   typed error instead of a confusing diff.
 //! * `info` metrics are never compared.
+//! * **Coverage** ([`coverage`], whole-suite runs only): a spec that
+//!   defines the candidate's profile but has no candidate rows fails, and
+//!   so does a `BENCH_<name>.json` that names no spec.
 
 use crate::lab::results::{BaselineError, LabReport, TrialRow};
+use crate::lab::spec::ExperimentSpec;
 use std::fmt;
+use std::path::Path;
 
 /// Gate thresholds.
 #[derive(Clone, Copy, Debug)]
@@ -121,6 +126,10 @@ pub enum Finding {
         candidate_us: u64,
         ratio: f64,
     },
+    /// A spec that defines the candidate's profile has no candidate rows.
+    ExperimentMissing { experiment: String },
+    /// A baseline file in the baseline directory names no spec.
+    OrphanBaseline { file: String },
 }
 
 impl fmt::Display for Finding {
@@ -156,6 +165,10 @@ impl fmt::Display for Finding {
                 f,
                 "{id}: wall `{key}` regressed {ratio:.2}x ({baseline_us} us -> {candidate_us} us)"
             ),
+            Finding::ExperimentMissing { experiment } => {
+                write!(f, "{experiment}: spec has no rows in the candidate run")
+            }
+            Finding::OrphanBaseline { file } => write!(f, "{file}: baseline names no spec"),
         }
     }
 }
@@ -226,6 +239,45 @@ pub fn gate(
             out.failures.push(Finding::ExtraRow {
                 id: crow.id.clone(),
             });
+        }
+    }
+    Ok(out)
+}
+
+/// The coverage findings of a whole-suite gate run (no `--experiment`):
+/// [`gate`] compares only the experiments the candidate contains, so a
+/// spec left out of the run, or a committed `BENCH_<name>.json` whose spec
+/// was deleted, would otherwise pass unnoticed. Findings are ordered:
+/// missing experiments in spec order, then orphan files by name.
+pub fn coverage(
+    specs: &[ExperimentSpec],
+    candidate: &LabReport,
+    baseline_dir: &Path,
+) -> Result<Vec<Finding>, GateError> {
+    let present = candidate.experiments();
+    let mut out: Vec<Finding> = specs
+        .iter()
+        .filter(|s| s.profiles.contains_key(&candidate.profile) && !present.contains(&s.name))
+        .map(|s| Finding::ExperimentMissing {
+            experiment: s.name.clone(),
+        })
+        .collect();
+    let io = |e: std::io::Error| BaselineError::Io {
+        path: baseline_dir.display().to_string(),
+        msg: e.to_string(),
+    };
+    let mut files = std::fs::read_dir(baseline_dir)
+        .map_err(io)?
+        .map(|entry| Ok(entry?.file_name().to_string_lossy().into_owned()))
+        .collect::<std::io::Result<Vec<String>>>()
+        .map_err(io)?;
+    files.sort();
+    for file in files {
+        let stem = file
+            .strip_prefix("BENCH_")
+            .and_then(|f| f.strip_suffix(".json"));
+        if stem.is_some_and(|name| specs.iter().all(|s| s.name != name)) {
+            out.push(Finding::OrphanBaseline { file });
         }
     }
     Ok(out)
@@ -508,6 +560,58 @@ mod tests {
         let b = report("h", vec![row("e/-/-/-#0", &[], &[("t", 1_000_000)])]);
         let c = report("h", vec![row("e/-/-/-#0", &[], &[("t", 1_000_001)])]);
         assert!(!gate(&b, &c, &cfg).unwrap().passed());
+    }
+
+    /// The coverage findings of a quick candidate with one row per
+    /// experiment in `ran`, for `(name, profile)` specs, against a fresh
+    /// baseline directory holding empty `files`.
+    fn gaps(specs: &[(&str, &str)], ran: &[&str], files: &[&str]) -> Vec<Finding> {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let k = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("lab-gate-{}-{k}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for f in files {
+            std::fs::write(dir.join(f), "").unwrap();
+        }
+        let specs: Vec<ExperimentSpec> = specs
+            .iter()
+            .map(|(name, profile)| {
+                let src = format!("name = \"{name}\"\ndriver = \"engine\"\n[profile.{profile}]\n");
+                crate::lab::spec::parse_spec("t.toml", &src).unwrap()
+            })
+            .collect();
+        let rows = ran
+            .iter()
+            .map(|e| TrialRow {
+                experiment: e.to_string(),
+                ..row(&format!("{e}/-/-/-#0"), &[], &[])
+            })
+            .collect();
+        let found = coverage(&specs, &report("h", rows), &dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        found
+    }
+
+    #[test]
+    fn coverage_fails_a_spec_without_candidate_rows() {
+        // `c` defines no quick profile, so a quick candidate need not cover it.
+        let specs = [("a", "quick"), ("b", "quick"), ("c", "full")];
+        let files = ["BENCH_a.json", "BENCH_b.json", "README.md"];
+        let missing = Finding::ExperimentMissing {
+            experiment: "b".into(),
+        };
+        assert_eq!(gaps(&specs, &["a"], &files), vec![missing]);
+        assert_eq!(gaps(&specs, &["a", "b"], &files), vec![]);
+    }
+
+    #[test]
+    fn coverage_fails_an_orphan_baseline() {
+        let files = ["BENCH_a.json", "BENCH_gone.json", "BENCH.json"];
+        let orphan = Finding::OrphanBaseline {
+            file: "BENCH_gone.json".into(),
+        };
+        assert_eq!(gaps(&[("a", "quick")], &["a"], &files), vec![orphan]);
+        assert_eq!(gaps(&[("a", "quick")], &["a"], &files[..1]), vec![]);
     }
 
     #[test]

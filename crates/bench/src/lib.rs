@@ -5,34 +5,24 @@
 pub mod drivers;
 pub mod lab;
 
-use serde::Serialize;
-
-/// Print an aligned text table and emit each row as a JSON line (prefixed
-/// `#json `) so downstream tooling can scrape the numbers.
-pub fn table<R: Serialize>(title: &str, headers: &[&str], rows: &[(Vec<String>, R)]) {
+/// Print an aligned text table: a `== title ==` line, the headers, then
+/// one right-aligned line per row of cells.
+pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
-    let widths: Vec<usize> = headers
-        .iter()
-        .enumerate()
-        .map(|(i, h)| {
-            rows.iter()
-                .map(|(r, _)| r.get(i).map_or(0, String::len))
-                .max()
-                .unwrap_or(0)
-                .max(h.len())
-        })
-        .collect();
-    let line = |cells: Vec<String>| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!("{:>width$}  ", c, width = widths[i]));
+    let headers: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
+    let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
+    for row in rows {
+        for (w, c) in widths.iter_mut().zip(row) {
+            *w = (*w).max(c.len());
         }
-        println!("{}", s.trim_end());
-    };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    for (cells, rec) in rows {
-        line(cells.clone());
-        println!("#json {}", serde_json::to_string(rec).unwrap());
+    }
+    for cells in std::iter::once(&headers).chain(rows) {
+        let padded: Vec<String> = cells
+            .iter()
+            .zip(&widths)
+            .map(|(c, w)| format!("{c:>w$}"))
+            .collect();
+        println!("{}", padded.join("  ").trim_end());
     }
 }
 
@@ -67,15 +57,7 @@ mod tests {
 
     #[test]
     fn table_prints() {
-        #[derive(Serialize)]
-        struct R {
-            n: usize,
-        }
-        table(
-            "demo",
-            &["n", "rounds"],
-            &[(vec!["10".into(), "20".into()], R { n: 10 })],
-        );
+        table("demo", &["n", "rounds"], &[vec!["10".into(), "20".into()]]);
     }
 
     #[test]

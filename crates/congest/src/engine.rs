@@ -405,8 +405,14 @@ impl Network {
                 failure = Some(CongestError::InactiveRecipient { from: u, to: v });
                 break;
             }
+            // A zero-word message would leave its slot's load at 0, so the
+            // next message on the slot would list it in `touched` twice
+            // and its load would be counted twice.
             let w = m.words();
-            debug_assert!(w >= 1, "zero-word message");
+            if w == 0 {
+                failure = Some(CongestError::ZeroWordMessage { from: u, to: v });
+                break;
+            }
             let slot = if u < v {
                 slot_fwd[eid as usize]
             } else {
@@ -486,9 +492,10 @@ impl Network {
     ///
     /// * `send(v, &state)` returns the messages node `v` emits as
     ///   `(neighbor, payload)` pairs. Sending to a non-neighbour returns
-    ///   [`CongestError::NonNeighborSend`], and to a node outside `active`
-    ///   [`CongestError::InactiveRecipient`]; nothing is charged or
-    ///   delivered in either case.
+    ///   [`CongestError::NonNeighborSend`], to a node outside `active`
+    ///   [`CongestError::InactiveRecipient`], and a message of zero
+    ///   [`words`](WireMsg::words) [`CongestError::ZeroWordMessage`];
+    ///   nothing is charged or delivered in any of these cases.
     /// * `recv(v, &mut state, inbox)` runs on every active node, in active
     ///   order, and consumes its delivered `(source, payload)` pairs,
     ///   ordered by source id.
@@ -931,6 +938,36 @@ mod tests {
         // A failed superstep charges nothing.
         assert_eq!(net.metrics().rounds, 0);
         assert_eq!(net.metrics().supersteps, 0);
+    }
+
+    /// A payload whose declared size is its value.
+    #[derive(Clone)]
+    struct Words(u64);
+
+    impl WireMsg for Words {
+        fn words(&self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn zero_word_message_errors_and_charges_nothing() {
+        let mut net = Network::new(path(2), NetworkConfig::default());
+        let mut step = |words: &[u64]| {
+            let msgs: Vec<(u32, Words)> = words.iter().map(|&w| (1, Words(w))).collect();
+            let send = |u: u32, _: &()| if u == 0 { msgs.clone() } else { Vec::new() };
+            superstep_all(&mut net, &mut [(), ()], send, |_, _, _| {})
+        };
+        // Unchecked, the 0-word message would leave its slot's load at 0,
+        // so the 3-word message would list the slot a second time and the
+        // superstep would charge 6 words.
+        let err = CongestError::ZeroWordMessage { from: 0, to: 1 };
+        assert_eq!(step(&[0, 3]), Err(err));
+        // The failed superstep charged nothing and left every slot load at
+        // zero, so the next one charges its 3 words once.
+        assert_eq!(step(&[3]), Ok(3));
+        assert_eq!(net.metrics().words, 3);
+        assert_eq!(net.metrics().supersteps, 1);
     }
 
     #[test]

@@ -16,6 +16,14 @@ pub enum CongestError {
         /// The (non-adjacent) target.
         to: u32,
     },
+    /// A message declared a size of zero words (see
+    /// [`crate::WireMsg::words`]); every message costs at least one.
+    ZeroWordMessage {
+        /// The sending node.
+        from: u32,
+        /// The target.
+        to: u32,
+    },
     /// A scoped superstep delivered a message to a node outside the active
     /// set (see [`crate::Network::superstep_on`]).
     InactiveRecipient {
@@ -60,6 +68,12 @@ impl fmt::Display for CongestError {
         match *self {
             CongestError::NonNeighborSend { from, to } => {
                 write!(f, "CONGEST violation: {from} sent to non-neighbor {to}")
+            }
+            CongestError::ZeroWordMessage { from, to } => {
+                write!(
+                    f,
+                    "CONGEST violation: {from} sent a zero-word message to {to}"
+                )
             }
             CongestError::InactiveRecipient { from, to } => {
                 write!(

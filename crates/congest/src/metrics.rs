@@ -112,26 +112,6 @@ impl Metrics {
             max_edge_words_in_superstep: self.max_edge_words_in_superstep,
         }
     }
-
-    /// Fold another execution's counters into `self` under the **parallel
-    /// composition** rule: two executions over vertex-disjoint subgraphs
-    /// run concurrently in CONGEST, so round-like counters (rounds,
-    /// supersteps, charged control rounds) take the maximum while traffic
-    /// counters (messages, words) sum; peak per-edge congestion is a max
-    /// because disjoint subgraphs never share an edge. The rule itself
-    /// lives in [`PhaseSnapshot::par_absorb`] (this method and
-    /// `scenarios::MetricsTotal` both delegate to it).
-    pub fn par_absorb(&mut self, other: &Metrics) {
-        let mut acc = self.as_phase("");
-        acc.par_absorb(&other.as_phase(""));
-        self.rounds = acc.rounds;
-        self.supersteps = acc.supersteps;
-        self.messages = acc.messages;
-        self.words = acc.words;
-        self.charged_rounds = acc.charged_rounds;
-        self.max_edge_words_in_superstep = acc.max_edge_words_in_superstep;
-        self.phase_congestion = self.phase_congestion.max(other.phase_congestion);
-    }
 }
 
 /// One named phase's charged costs (see [`Metrics::snapshot`]).
@@ -154,9 +134,12 @@ pub struct PhaseSnapshot {
 }
 
 impl PhaseSnapshot {
-    /// Fold another phase's counters into this one under the parallel
-    /// composition rule (see [`Metrics::par_absorb`]): max for round-like
-    /// counters, sum for traffic, max for congestion. The phase name of
+    /// Fold another phase's counters into this one under the **parallel
+    /// composition** rule: two executions over vertex-disjoint subgraphs
+    /// run concurrently in CONGEST, so round-like counters (rounds,
+    /// supersteps, charged control rounds) take the maximum while traffic
+    /// counters (messages, words) sum; peak per-edge congestion is a max
+    /// because disjoint subgraphs never share an edge. The phase name of
     /// `self` is kept.
     pub fn par_absorb(&mut self, other: &PhaseSnapshot) {
         self.rounds = self.rounds.max(other.rounds);
@@ -207,20 +190,15 @@ mod tests {
 
     #[test]
     fn par_absorb_maxes_rounds_and_sums_traffic() {
-        let mut a = charged(10, 3, 100, 150, 4);
-        let b = charged(25, 5, 80, 90, 6);
-        a.par_absorb(&b);
-        assert_eq!(a.rounds, 25);
-        assert_eq!(a.messages, 180);
-        assert_eq!(a.words, 240);
-        assert_eq!(a.max_edge_words_in_superstep, 6);
-
-        let mut p = a.as_phase("left");
-        let q = b.as_phase("right");
+        let mut p = charged(10, 3, 100, 150, 4).as_phase("left");
+        let q = charged(25, 5, 80, 90, 6).as_phase("right");
         p.par_absorb(&q);
         assert_eq!(p.phase, "left");
         assert_eq!(p.rounds, 25);
-        assert_eq!(p.messages, 260);
+        assert_eq!(p.supersteps, 5);
+        assert_eq!(p.messages, 180);
+        assert_eq!(p.words, 240);
+        assert_eq!(p.max_edge_words_in_superstep, 6);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 /// sum their fields. A message may be many words long; the engine charges
 /// the extra rounds automatically (pipelining).
 pub trait WireMsg: Clone {
-    /// Size of this message in words (≥ 1).
+    /// Size of this message in words (≥ 1: the engine rejects a zero-word
+    /// message with [`crate::CongestError::ZeroWordMessage`]).
     fn words(&self) -> u64 {
         1
     }

@@ -19,12 +19,11 @@
 //!   (or charged-virtual) machinery, and **asserts equality against the
 //!   centralized oracles in [`baselines::oracles`]** — a returned report
 //!   is a verified report.
-//! * [`runner`] — component splitting plus [`run_matrix`], the single
-//!   driver behind the `scenario_matrix` differential test suite, the
-//!   metamorphic test layer, and the `scenarios` bench bin
-//!   (`BENCH_scenarios.json`).
-//! * [`report`] — [`CellReport`] / [`MetricsTotal`]: outputs, charged
-//!   metrics under the parallel-composition rule, and per-phase
+//! * [`runner`] — component splitting plus [`run_cell`], which the
+//!   `scenario_matrix` differential test suite and the `lab` matrix
+//!   driver (`BENCH_scenarios.json`) run every cell through.
+//! * [`report`] — [`CellReport`]: outputs, charged metrics under the
+//!   parallel-composition rule, and per-phase
 //!   [`congest_sim::PhaseSnapshot`] logs.
 //!
 //! ```
@@ -48,5 +47,5 @@ pub use pipeline::{
     UpdatePipeline, WalksPipeline,
 };
 pub use registry::{corpus, Family, Scenario, WeightModel};
-pub use report::{fold_checksum, CellError, CellFailure, CellReport, MetricsTotal};
-pub use runner::{run_cell, run_matrix, split_components, Part};
+pub use report::{fold_checksum, CellError, CellFailure, CellReport};
+pub use runner::{run_cell, split_components, Part};

@@ -5,7 +5,7 @@
 //! checks its outputs against the centralized oracles in
 //! [`baselines::oracles`]**, and returns a [`CellReport`]. A report is only
 //! ever produced for a verified cell — divergence panics with the scenario
-//! name, so `run_matrix` doubles as the differential suite.
+//! name, so running the matrix doubles as the differential suite.
 
 use crate::registry::Scenario;
 use crate::report::{fold_checksum, CellError, CellReport};
@@ -103,8 +103,7 @@ impl Pipeline for SsspPipeline {
                     dists[part.old_of[local] as usize] = dv;
                 }
             }
-            rep.metrics.absorb(net.metrics());
-            rep.note_phases(ci, net.phase_log());
+            rep.note_network(ci, &net);
         }
         let oracle = baselines::sssp_oracle(&inst, src);
         assert_eq!(
@@ -150,8 +149,7 @@ impl Pipeline for DistLabelPipeline {
             let (labels, _) =
                 distlabel::build_labels_distributed(&mut net, &part.inst, &out.td, &out.info)
                     .map_err(|e| ce(e.into()))?;
-            rep.metrics.absorb(net.metrics());
-            rep.note_phases(ci, net.phase_log());
+            rep.note_network(ci, &net);
             for l in &labels {
                 label_words += l.words() as u64;
                 max_label_words = max_label_words.max(l.words() as u64);
@@ -245,7 +243,7 @@ impl Pipeline for GirthPipeline {
             rep.checked += 1;
             best = best.min(run.girth);
             trials += run.trials as u64;
-            rep.metrics.absorb_rounds(run.rounds_total);
+            rep.metrics.rounds = rep.metrics.rounds.max(run.rounds_total);
             rep.detail.push(("rounds_per_trial", run.rounds_per_trial));
         }
         // The whole-graph girth is the min over components; the oracle on
@@ -319,7 +317,7 @@ impl Pipeline for MatchingPipeline {
                 total += got.size();
                 augmentations += got.augmentations as u64;
                 attempts += got.attempts as u64;
-                rep.metrics.absorb_rounds(got.rounds);
+                rep.metrics.rounds = rep.metrics.rounds.max(got.rounds);
             }
         }
         rep.detail.push(("augmentations", augmentations));
@@ -362,7 +360,7 @@ impl Pipeline for WalksPipeline {
                 NetworkConfig::default(),
             )
             .map_err(|e| ce(e.into()))?;
-            rep.metrics.absorb(&metrics);
+            rep.metrics.par_absorb(&metrics.as_phase(""));
             let pn = part.graph.n();
             for s in (0..pn as u32).step_by((pn / 4).max(1)) {
                 let oracle = baselines::constrained_sssp_oracle(&part.inst, &c, s);
@@ -430,8 +428,7 @@ impl Pipeline for ServePipeline {
                 distlabel::build_labels_distributed(&mut net, &part.inst, &out.td, &out.info)
                     .map_err(|e| ce(e.into()))?;
             builder.add_component(&labels, &part.old_of).map_err(&se)?;
-            rep.metrics.absorb(net.metrics());
-            rep.note_phases(ci, net.phase_log());
+            rep.note_network(ci, &net);
         }
         let cfg = labelserve::ServeConfig {
             // Small graphs still exercise real sharding: at least 4 shards.
@@ -778,8 +775,7 @@ impl Pipeline for MaxflowPipeline {
                 .collect();
             let results = subgraph_ops::mvc::batch_min_vertex_cut(&mut net, &instances, cap)
                 .map_err(|e| ce(treedec::DecompError::Congest(e)))?;
-            rep.metrics.absorb(net.metrics());
-            rep.note_phases(ci, net.phase_log());
+            rep.note_network(ci, &net);
             for (pi, (&(s, t), got)) in pairs.iter().zip(&results).enumerate() {
                 let want = baselines::maxflow_oracle(&part.graph, None, &[s], &[t], cap)
                     .map_err(|e| ce(treedec::DecompError::Mincut(e)))?;
@@ -904,8 +900,7 @@ impl Pipeline for CountingPipeline {
             let active: Vec<u32> = (0..part.graph.n() as u32).collect();
             let spectrum = subgraph_ops::probe::closed_walk_spectrum(&mut net, &active, 5)
                 .map_err(|e| ce(treedec::DecompError::Congest(e)))?;
-            rep.metrics.absorb(net.metrics());
-            rep.note_phases(ci, net.phase_log());
+            rep.note_network(ci, &net);
             let (mut tr3, mut tr4, mut tr5) = (0i128, 0i128, 0i128);
             let (mut sum_d2, mut mixed) = (0i128, 0i128);
             for s in &spectrum {
@@ -1024,8 +1019,7 @@ impl Pipeline for FoPipeline {
             let active: Vec<u32> = (0..part.graph.n() as u32).collect();
             let tables = subgraph_ops::probe::bounded_hop_distances(&mut net, &active, radius)
                 .map_err(|e| ce(treedec::DecompError::Congest(e)))?;
-            rep.metrics.absorb(net.metrics());
-            rep.note_phases(ci, net.phase_log());
+            rep.note_network(ci, &net);
             for (local, table) in tables.iter().enumerate() {
                 for &(o, d) in table {
                     dist.insert((part.old_of[o as usize], part.old_of[local]), d);

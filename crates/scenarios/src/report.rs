@@ -1,6 +1,6 @@
 //! Run reports: charged-cost totals and per-cell records.
 
-use congest_sim::{Metrics, PhaseSnapshot};
+use congest_sim::{Network, PhaseSnapshot};
 use std::fmt;
 use treedec::DecompError;
 
@@ -66,63 +66,6 @@ impl std::error::Error for CellError {
     }
 }
 
-/// Charged-cost totals of one scenario × pipeline cell, aggregated over
-/// connected components under the **parallel composition** rule: components
-/// execute concurrently in CONGEST, so round-like counters take the
-/// maximum over components while traffic counters sum.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MetricsTotal {
-    /// Charged rounds (max over components).
-    pub rounds: u64,
-    /// Supersteps (max over components).
-    pub supersteps: u64,
-    /// Messages delivered (sum over components).
-    pub messages: u64,
-    /// Words moved (sum over components).
-    pub words: u64,
-    /// Explicitly charged control rounds (max over components).
-    pub charged_rounds: u64,
-    /// Peak single-superstep per-edge congestion (max over components).
-    pub congestion: u64,
-}
-
-impl MetricsTotal {
-    /// Fold one component's full engine metrics into the total. The rule
-    /// itself lives in [`congest_sim::PhaseSnapshot::par_absorb`] (and
-    /// [`Metrics::par_absorb`]) — this is a thin adapter so every consumer
-    /// aggregates identically.
-    pub fn absorb(&mut self, m: &Metrics) {
-        let mut acc = self.as_snapshot();
-        acc.par_absorb(&m.as_phase(""));
-        self.rounds = acc.rounds;
-        self.supersteps = acc.supersteps;
-        self.messages = acc.messages;
-        self.words = acc.words;
-        self.charged_rounds = acc.charged_rounds;
-        self.congestion = acc.max_edge_words_in_superstep;
-    }
-
-    /// The total viewed as an (unnamed) phase snapshot.
-    fn as_snapshot(&self) -> PhaseSnapshot {
-        PhaseSnapshot {
-            phase: String::new(),
-            rounds: self.rounds,
-            supersteps: self.supersteps,
-            messages: self.messages,
-            words: self.words,
-            charged_rounds: self.charged_rounds,
-            max_edge_words_in_superstep: self.congestion,
-        }
-    }
-
-    /// Fold a rounds-only measurement (pipelines that report charged rounds
-    /// without a full metrics carrier, e.g. girth trials and matching
-    /// augmentations).
-    pub fn absorb_rounds(&mut self, rounds: u64) {
-        self.rounds = self.rounds.max(rounds);
-    }
-}
-
 /// The uniform result record of one scenario × pipeline cell.
 #[derive(Clone, Debug)]
 pub struct CellReport {
@@ -146,8 +89,11 @@ pub struct CellReport {
     /// Number of values differentially verified against the baseline
     /// oracles — every cell must have `checked > 0`.
     pub checked: usize,
-    /// Aggregated charged costs.
-    pub metrics: MetricsTotal,
+    /// Charged-cost totals, aggregated over connected components under
+    /// the parallel composition rule ([`PhaseSnapshot::par_absorb`]):
+    /// components run concurrently in CONGEST, so round-like counters take
+    /// the maximum over components while traffic counters sum.
+    pub metrics: PhaseSnapshot,
     /// Pipeline-specific named counters (trials, augmentations, …).
     pub detail: Vec<(&'static str, u64)>,
     /// Per-phase engine snapshots, names prefixed `c<i>/` per component.
@@ -167,7 +113,7 @@ impl CellReport {
             depth: 0,
             output: 0,
             checked: 0,
-            metrics: MetricsTotal::default(),
+            metrics: PhaseSnapshot::default(),
             detail: Vec::new(),
             phases: Vec::new(),
         }
@@ -179,40 +125,16 @@ impl CellReport {
         self.depth = self.depth.max(depth);
     }
 
-    /// Append a component's phase log under a `c<i>/` prefix.
-    pub fn note_phases(&mut self, comp: usize, phases: &[PhaseSnapshot]) {
-        for p in phases {
+    /// Fold component `comp`'s finished network into the report: its
+    /// totals into [`metrics`](CellReport::metrics) and its phase log
+    /// under a `c<i>/` prefix.
+    pub fn note_network(&mut self, comp: usize, net: &Network) {
+        self.metrics.par_absorb(&net.metrics().as_phase(""));
+        for p in net.phase_log() {
             let mut p = p.clone();
             p.phase = format!("c{comp}/{}", p.phase);
             self.phases.push(p);
         }
-    }
-
-    /// The canonical JSON value of this cell (stable field set — the bench
-    /// bin serializes one such entry per cell into `BENCH_scenarios.json`).
-    pub fn json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "scenario": self.scenario.clone(),
-            "pipeline": self.pipeline,
-            "n": self.n,
-            "m": self.m,
-            "components": self.components,
-            "width": self.width,
-            "depth": self.depth,
-            "output": self.output,
-            "checked": self.checked,
-            "rounds": self.metrics.rounds,
-            "supersteps": self.metrics.supersteps,
-            "messages": self.metrics.messages,
-            "words": self.metrics.words,
-            "charged_rounds": self.metrics.charged_rounds,
-            "congestion": self.metrics.congestion,
-            "detail": self
-                .detail
-                .iter()
-                .map(|(k, v)| serde_json::json!({"key": *k, "value": *v}))
-                .collect::<Vec<_>>(),
-        })
     }
 }
 
@@ -235,25 +157,22 @@ mod tests {
 
     #[test]
     fn parallel_composition_rule() {
-        let mut t = MetricsTotal::default();
-        let mk = |rounds, messages| {
-            let mut m = Metrics::default();
-            m.rounds = rounds;
-            m.supersteps = rounds;
-            m.messages = messages;
-            m.words = messages;
-            m.max_edge_words_in_superstep = rounds.min(4);
-            m
+        let mut t = PhaseSnapshot::default();
+        let mk = |rounds, messages| PhaseSnapshot {
+            rounds,
+            supersteps: rounds,
+            messages,
+            words: messages,
+            max_edge_words_in_superstep: rounds.min(4),
+            ..PhaseSnapshot::default()
         };
-        t.absorb(&mk(10, 100));
-        t.absorb(&mk(4, 50));
+        t.par_absorb(&mk(10, 100));
+        t.par_absorb(&mk(4, 50));
         assert_eq!(t.rounds, 10);
         assert_eq!(t.supersteps, 10);
         assert_eq!(t.messages, 150);
         assert_eq!(t.words, 150);
-        assert_eq!(t.congestion, 4);
-        t.absorb_rounds(25);
-        assert_eq!(t.rounds, 25);
+        assert_eq!(t.max_edge_words_in_superstep, 4);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Component splitting and the matrix driver.
+//! Component splitting and the one-cell runner.
 
-use crate::pipeline::{all_pipelines, Pipeline};
+use crate::pipeline::Pipeline;
 use crate::registry::Scenario;
 use crate::report::{CellError, CellReport};
 use treedec::decomp::{DecompError, DecompOutcome};
@@ -83,21 +83,6 @@ pub fn decompose_part_distributed(
 /// Run one cell.
 pub fn run_cell(sc: &Scenario, pipeline: &dyn Pipeline) -> Result<CellReport, CellError> {
     pipeline.run(sc)
-}
-
-/// Run the full scenario × pipeline cross-product. Panics on the first
-/// cell whose differential check diverges (the pipelines assert
-/// internally) and propagates simulator/decomposition errors, so a clean
-/// return means every cell was verified.
-pub fn run_matrix(scenarios: &[Scenario]) -> Result<Vec<CellReport>, CellError> {
-    let pipelines = all_pipelines();
-    let mut reports = Vec::with_capacity(scenarios.len() * pipelines.len());
-    for sc in scenarios {
-        for p in &pipelines {
-            reports.push(run_cell(sc, p.as_ref())?);
-        }
-    }
-    Ok(reports)
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 //! Post-separator components are vertex disjoint, so sibling subproblems
 //! run concurrently in CONGEST: their flows share supersteps, and their
 //! costs compose by the parallel-composition rule (see
-//! `congest_sim::Metrics::par_absorb` for the aggregation law). Their
+//! `congest_sim::PhaseSnapshot::par_absorb` for the aggregation law). Their
 //! *local* work (split-tree carving, component search, boundary
 //! extraction) is charge-free and runs in item order, materialization over
 //! one reused `SepCore`, so tree node ids and the per-item charging order

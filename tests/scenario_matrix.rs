@@ -4,8 +4,8 @@
 //! [`scenarios::Pipeline`]; each pipeline internally asserts equality
 //! against the centralized oracles in `baselines::oracles`, so a cell that
 //! diverges (or panics) fails this suite with its scenario name. The same
-//! matrix backs the `scenarios` bench bin (`BENCH_scenarios.json`) — this
-//! suite is the correctness gate, the bench bin the cost reporter.
+//! matrix backs the `lab` `scenarios` experiment (`BENCH_scenarios.json`)
+//! — this suite is the correctness gate, the lab run the cost reporter.
 
 use scenarios::{all_pipelines, corpus, run_cell, update_mixes};
 
@@ -152,8 +152,8 @@ fn matrix_dimensions() {
     );
 }
 
-/// The portfolio pipelines report the detail rows the bench bin (and the
-/// `portfolio` experiment baseline) serializes.
+/// The portfolio pipelines report the detail rows the `lab` matrix driver
+/// records (and `BENCH_scenarios.json` gates).
 #[test]
 fn portfolio_cells_report_detail() {
     let pipelines = all_pipelines();
@@ -185,7 +185,7 @@ fn portfolio_cells_report_detail() {
 }
 
 /// Every update cell carries the per-mix QPS rows and rebuild-scope
-/// counters the bench bin serializes.
+/// counters the `lab` matrix driver records.
 #[test]
 fn update_cells_report_churn_detail() {
     let pipelines = all_pipelines();
