@@ -1,5 +1,22 @@
-//! Bottom-up label construction (paper §4.2), shared by the centralized
-//! and distributed drivers.
+//! The §4.2 node step, shared by every label build.
+//!
+//! Labels are built bottom-up over the tree decomposition, one
+//! `node_step` per tree node, on flat row-major `k × k` matrices. A leaf
+//! gathers its whole `G_x` (its bag is `V(G_x)`) and solves APSP locally.
+//! An internal node runs APSP on the pre-APSP auxiliary matrix `H_x` over
+//! its bag (Lemma 3) and then refreshes every member of `G_x` through it
+//! (Lemma 4, `refresh`). The builders differ only in where `H_x`'s
+//! child-level costs come from:
+//!
+//! - `h_from_labels` reads them from the labels built so far. It serves
+//!   [`build_labels_centralized`] and the distributed build (`dist.rs`),
+//!   which alone turns each step's inputs into broadcast arcs.
+//! - `incremental`'s `h_from_memos` reads them from graph-determined child
+//!   memos. It serves the update path, whose gate compares such matrices
+//!   across builds.
+//!
+//! Both sources decode exactly but give different labels: labels can
+//! hold cross-branch values below `d_{G_x}`, memos cannot.
 //!
 //! ## Maintained invariant (see lib.rs)
 //!
@@ -16,28 +33,13 @@
 use crate::label::Label;
 use treedec::decomp::NodeInfo;
 use twgraph::tw::TreeDecomposition;
-use twgraph::{dist_add, Dist, MultiDigraph, INF};
-
-/// A flat arc list `(src, dst, weight)` — the per-node broadcast payload
-/// (3 words per arc).
-pub type ArcList = Vec<(u32, u32, Dist)>;
-
-/// What a tree node's processing step would broadcast in the distributed
-/// execution (paper §4.2 steps 1 and 3): per source node, the arc list it
-/// contributes (each arc = 3 words on the wire).
-#[derive(Clone, Debug, Default)]
-pub struct NodeArtifact {
-    /// `(source node, arcs (src, dst, cost))` — for a leaf, every member
-    /// broadcasts its incident G_x arcs; for an internal node, every bag
-    /// member broadcasts its incident H_x arcs.
-    pub broadcast: Vec<(u32, ArcList)>,
-}
+use twgraph::{dist_add, ArcId, Dist, MultiDigraph, INF};
 
 /// Direct-arc cost table lookup: cheapest arc `a → b` in the instance.
-pub(crate) fn direct_cost(inst: &MultiDigraph, a: u32, b: u32) -> Dist {
+fn direct_cost(inst: &MultiDigraph, a: u32, b: u32) -> Dist {
     let mut best = INF;
     for &ai in inst.out_arcs(a) {
-        let arc = inst.arc(twgraph::ArcId(ai));
+        let arc = inst.arc(ArcId(ai));
         if arc.dst == b {
             best = best.min(arc.weight);
         }
@@ -45,148 +47,83 @@ pub(crate) fn direct_cost(inst: &MultiDigraph, a: u32, b: u32) -> Dist {
     best
 }
 
-/// Process one tree node bottom-up, updating `labels` in place and
-/// returning the traffic artifact for the distributed driver.
-pub fn process_node(
-    inst: &MultiDigraph,
-    td: &TreeDecomposition,
-    info: &[NodeInfo],
-    x: usize,
-    labels: &mut [Label],
-) -> NodeArtifact {
-    if info[x].is_leaf {
-        process_leaf(inst, &info[x], labels)
-    } else {
-        process_internal(inst, td, info, x, labels)
-    }
+/// The direct-arc part of `H_x` over `bag`: 0 on the diagonal, the
+/// cheapest arc elsewhere.
+pub(crate) fn direct_matrix(inst: &MultiDigraph, bag: &[u32]) -> Vec<Dist> {
+    bag.iter()
+        .enumerate()
+        .flat_map(|(i, &a)| {
+            bag.iter()
+                .enumerate()
+                .map(move |(j, &b)| if i == j { 0 } else { direct_cost(inst, a, b) })
+        })
+        .collect()
 }
 
-/// Leaf: gather all of G_x locally (step 1), solve APSP, record all bag
-/// entries (the leaf bag is V(G_x)).
-fn process_leaf(inst: &MultiDigraph, ni: &NodeInfo, labels: &mut [Label]) -> NodeArtifact {
-    let gx = ni.gx();
-    let k = gx.len();
-    let local = |v: u32| gx.binary_search(&v).unwrap();
-    let in_inherited = |v: u32| ni.inherited.binary_search(&v).is_ok();
-
-    // Arcs of G_x: endpoints inside gx, not both inherited (G_x carries no
-    // edges inside the inherited boundary — see treedec::decomp).
-    let mut arcs: Vec<(u32, u32, Dist)> = Vec::new();
-    let mut per_node: Vec<(u32, ArcList)> = Vec::new();
-    for &v in &gx {
-        let mut mine = Vec::new();
-        for &ai in inst.out_arcs(v) {
-            let a = inst.arc(twgraph::ArcId(ai));
-            if gx.binary_search(&a.dst).is_ok() && !(in_inherited(a.src) && in_inherited(a.dst)) {
-                mine.push((a.src, a.dst, a.weight));
-            }
-        }
-        arcs.extend(mine.iter().copied());
-        per_node.push((v, mine));
-    }
-
-    // Local APSP (Floyd–Warshall on the gathered subgraph).
-    let mut d = vec![vec![INF; k]; k];
-    for (i, row) in d.iter_mut().enumerate() {
-        row[i] = 0;
-    }
-    for &(a, b, w) in &arcs {
-        let (ia, ib) = (local(a), local(b));
-        d[ia][ib] = d[ia][ib].min(w);
-    }
-    for m in 0..k {
-        for i in 0..k {
-            if d[i][m] >= INF {
-                continue;
-            }
-            for j in 0..k {
-                let cand = dist_add(d[i][m], d[m][j]);
-                if cand < d[i][j] {
-                    d[i][j] = cand;
-                }
-            }
-        }
-    }
-    for (i, &u) in gx.iter().enumerate() {
-        for (j, &s) in gx.iter().enumerate() {
-            labels[u as usize].merge(s, d[i][j], d[j][i]);
-        }
-    }
-    NodeArtifact {
-        broadcast: per_node,
-    }
-}
-
-/// Internal node: build H_x from child labels + direct arcs (step 2),
-/// APSP on H_x, then refresh every member's B_x entries (step 4 / Lemma 4).
-fn process_internal(
-    inst: &MultiDigraph,
-    td: &TreeDecomposition,
-    info: &[NodeInfo],
-    x: usize,
-    labels: &mut [Label],
-) -> NodeArtifact {
-    let bag = &td.bags[x];
+/// Pre-APSP `H_x` over `bag` with child-level costs from the labels built
+/// so far: `min(direct arc, d_label(a → b))`.
+pub(crate) fn h_from_labels(inst: &MultiDigraph, bag: &[u32], labels: &[Label]) -> Vec<Dist> {
     let k = bag.len();
-    let bidx = |v: u32| bag.binary_search(&v).ok();
-
-    // H_x edge costs: min(direct arc, child-level label distance).
-    let mut h = vec![vec![INF; k]; k];
-    for (i, row) in h.iter_mut().enumerate() {
-        row[i] = 0;
-    }
+    let mut h = direct_matrix(inst, bag);
     for (i, &a) in bag.iter().enumerate() {
         for (j, &b) in bag.iter().enumerate() {
             if i == j {
                 continue;
             }
-            let mut c = direct_cost(inst, a, b);
             if let Some(via_child) = labels[a as usize].to(b) {
-                c = c.min(via_child);
+                h[i * k + j] = h[i * k + j].min(via_child);
             }
-            h[i][j] = c;
         }
     }
-    // The broadcast artifact: each bag node's finite incident H_x arcs.
-    let mut per_node: Vec<(u32, ArcList)> = Vec::new();
-    for (i, &a) in bag.iter().enumerate() {
-        let mine: Vec<(u32, u32, Dist)> = bag
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| i != j && h[i][j] < INF)
-            .map(|(j, &b)| (a, b, h[i][j]))
-            .collect();
-        per_node.push((a, mine));
-    }
-    // APSP on H_x: d_{H_x} = d_{G_x} restricted to the bag (Lemma 3).
+    h
+}
+
+/// In-place Floyd–Warshall on a flat row-major `k × k` matrix.
+pub(crate) fn apsp(d: &mut [Dist], k: usize) {
     for m in 0..k {
         for i in 0..k {
-            if h[i][m] >= INF {
+            let dim = d[i * k + m];
+            if dim >= INF {
                 continue;
             }
             for j in 0..k {
-                let cand = dist_add(h[i][m], h[m][j]);
-                if cand < h[i][j] {
-                    h[i][j] = cand;
+                let cand = dist_add(dim, d[m * k + j]);
+                if cand < d[i * k + j] {
+                    d[i * k + j] = cand;
                 }
             }
         }
     }
+}
 
-    // Members of G_x: all children's G vertex sets plus the bag.
-    let mut members: Vec<u32> = bag.clone();
-    for &c in &td.children[x] {
-        members.extend(info[c].gx());
-    }
-    members.sort_unstable();
-    members.dedup();
+/// The arcs of a leaf's `G_x` over its bag `V(G_x)`, in (source, out-arc)
+/// order: both ends in the bag, not both in the inherited boundary (`G_x`
+/// carries no edges inside it — see `treedec::decomp`).
+pub(crate) fn leaf_arcs<'a>(
+    inst: &'a MultiDigraph,
+    bag: &'a [u32],
+    ni: &'a NodeInfo,
+) -> impl Iterator<Item = (u32, u32, Dist)> + 'a {
+    let inherited = move |v: u32| ni.inherited.binary_search(&v).is_ok();
+    bag.iter()
+        .flat_map(move |&v| inst.out_arcs(v).iter().map(move |&ai| inst.arc(ArcId(ai))))
+        .filter(move |a| {
+            bag.binary_search(&a.dst).is_ok() && !(inherited(a.src) && inherited(a.dst))
+        })
+        .map(|a| (a.src, a.dst, a.weight))
+}
 
-    // Lemma 4 refresh: for every member u and every s ∈ B_x,
-    //   d_{G_x}(u,s) = min_{s'} d_child(u,s') + d_{H_x}(s',s)
-    //   d_{G_x}(s,u) = min_{s'} d_{H_x}(s,s') + d_child(s',u)
-    // with s' ranging over the bag vertices u already has entries for
-    // (including u itself at distance 0 when u ∈ B_x).
-    for &u in &members {
+/// Lemma-4 refresh of `members` through the post-APSP `d_{H_x}` matrix `h`
+/// over `bag`: for every member `u` and every `s ∈ B_x`,
+///   `d_{G_x}(u,s) = min_{s'} d_child(u,s') + d_{H_x}(s',s)`,
+///   `d_{G_x}(s,u) = min_{s'} d_{H_x}(s,s') + d_child(s',u)`,
+/// with `s'` ranging over the bag vertices `u` already has entries for
+/// (including `u` itself at distance 0 when `u ∈ B_x`).
+pub(crate) fn refresh(labels: &mut [Label], bag: &[u32], h: &[Dist], members: &[u32]) {
+    let k = bag.len();
+    assert_eq!(h.len(), k * k, "d_H must be a |B_x| × |B_x| matrix");
+    let bidx = |v: u32| bag.binary_search(&v).ok();
+    for &u in members {
         // Bridges: (bag index of s', d_child(u→s'), d_child(s'→u)).
         let mut bridges: Vec<(usize, Dist, Dist)> = Vec::new();
         if let Some(iu) = bidx(u) {
@@ -203,21 +140,57 @@ fn process_internal(
             let mut best_to = INF;
             let mut best_from = INF;
             for &(is, to, from) in &bridges {
-                best_to = best_to.min(dist_add(to, h[is][j]));
-                best_from = best_from.min(dist_add(h[j][is], from));
+                best_to = best_to.min(dist_add(to, h[is * k + j]));
+                best_from = best_from.min(dist_add(h[j * k + is], from));
             }
             if best_to < INF || best_from < INF {
                 labels[u as usize].merge(s, best_to, best_from);
             }
         }
     }
-
-    NodeArtifact {
-        broadcast: per_node,
-    }
 }
 
-/// Build the full labeling centrally: process tree nodes children-first.
+/// One §4.2 step at a tree node with bag `bag` and record `ni`, its
+/// children already processed. A leaf solves its whole `G_x` and records
+/// every pair (step 1). An internal node runs APSP on the pre-APSP `H_x`
+/// that `pre_h` returns — it sees the labels as they stand — (steps 2–3,
+/// Lemma 3) and refreshes every member of `V(G_x)` (step 4, Lemma 4).
+/// Returns the post-APSP matrix over `bag`: `d_{G_x}` at a leaf, `d_{H_x}`
+/// otherwise.
+pub(crate) fn node_step(
+    inst: &MultiDigraph,
+    bag: &[u32],
+    ni: &NodeInfo,
+    labels: &mut [Label],
+    pre_h: impl FnOnce(&[Label]) -> Vec<Dist>,
+) -> Vec<Dist> {
+    let k = bag.len();
+    if !ni.is_leaf {
+        let mut h = pre_h(labels);
+        apsp(&mut h, k);
+        refresh(labels, bag, &h, &ni.gx());
+        return h;
+    }
+    let local = |v: u32| bag.binary_search(&v).expect("leaf arcs stay in the bag");
+    let mut d = vec![INF; k * k];
+    for i in 0..k {
+        d[i * k + i] = 0;
+    }
+    for (a, b, w) in leaf_arcs(inst, bag, ni) {
+        let at = local(a) * k + local(b);
+        d[at] = d[at].min(w);
+    }
+    apsp(&mut d, k);
+    for (i, &u) in bag.iter().enumerate() {
+        for (j, &s) in bag.iter().enumerate() {
+            labels[u as usize].merge(s, d[i * k + j], d[j * k + i]);
+        }
+    }
+    d
+}
+
+/// Build the full labeling centrally: process tree nodes children-first,
+/// with `H_x` from the labels.
 pub fn build_labels_centralized(
     inst: &MultiDigraph,
     td: &TreeDecomposition,
@@ -225,7 +198,10 @@ pub fn build_labels_centralized(
 ) -> Vec<Label> {
     let mut labels: Vec<Label> = (0..inst.n() as u32).map(Label::new).collect();
     for x in order_bottom_up(td) {
-        process_node(inst, td, info, x, &mut labels);
+        let bag = &td.bags[x];
+        node_step(inst, bag, &info[x], &mut labels, |labels| {
+            h_from_labels(inst, bag, labels)
+        });
     }
     labels
 }
@@ -342,21 +318,5 @@ mod tests {
             "label blew up: {max_entries} entries on n = {}",
             g.n()
         );
-    }
-
-    #[test]
-    fn artifacts_report_traffic() {
-        let g = banded_path(50, 2);
-        let inst = with_random_weights(&g, 5, 1);
-        let cfg = SepConfig::practical(50);
-        let mut rng = SmallRng::seed_from_u64(8);
-        let dec = decompose_centralized(&g, 3, &cfg, &mut rng).unwrap();
-        let mut labels: Vec<Label> = (0..50u32).map(Label::new).collect();
-        let mut total_arcs = 0usize;
-        for x in order_bottom_up(&dec.td) {
-            let art = process_node(&inst, &dec.td, &dec.info, x, &mut labels);
-            total_arcs += art.broadcast.iter().map(|(_, a)| a.len()).sum::<usize>();
-        }
-        assert!(total_arcs > 0, "no traffic recorded");
     }
 }

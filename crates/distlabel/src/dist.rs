@@ -2,20 +2,24 @@
 //!
 //! The recursion levels run bottom-up; all tree nodes of one depth form a
 //! near-disjoint collection {G_x | x ∈ A_ℓ} processed in shared supersteps.
-//! Per level the algorithm pays one generalized part-wise broadcast
-//! (Corollary 3): leaves ship whole-subgraph edge lists, internal nodes
-//! ship their H_x arc lists (3 words per arc — the Õ(τ⁴)-word payload that
-//! yields the τ⁵ term of Theorem 2). The numeric label updates are
-//! node-local computation on broadcast data (free under CONGEST).
+//! Each tree node runs the same node step as the centralized build (see
+//! `build.rs`), with `H_x` from the labels, so both builds produce the same
+//! labels. Per level the algorithm pays one generalized part-wise broadcast
+//! (Corollary 3), and this driver is the only code that builds its arcs:
+//! a leaf's members ship their `G_x` arcs, an internal node's bag members
+//! ship their finite pre-APSP `H_x` arcs (3 words per arc — the
+//! Õ(τ⁴)-word payload that yields the τ⁵ term of Theorem 2). The numeric
+//! label updates are node-local computation on broadcast data (free under
+//! CONGEST).
 
-use crate::build::{order_bottom_up, process_node, ArcList};
+use crate::build::{h_from_labels, leaf_arcs, node_step, order_bottom_up};
 use crate::label::Label;
 use congest_sim::{CongestError, Network};
 use subgraph_ops::global::build_global_tree;
 use subgraph_ops::{pa, Parts};
 use treedec::decomp::NodeInfo;
 use twgraph::tw::TreeDecomposition;
-use twgraph::MultiDigraph;
+use twgraph::{Dist, MultiDigraph, INF};
 
 /// Build the labeling on the simulator; returns the labels plus the rounds
 /// charged for the construction (excluding the reused global backbone).
@@ -49,35 +53,46 @@ pub fn build_labels_distributed(
         if nodes.is_empty() {
             continue;
         }
-        // Run the numeric step for each tree node, collecting traffic.
+        // Run each tree node's step and keep, per slot, the arcs its
+        // members broadcast `(src, dst, cost)`, sorted by source.
         let mut member_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut items_per_node: Vec<Vec<(u32, ArcList)>> = Vec::new();
+        let mut slot_arcs: Vec<Vec<(u32, u32, Dist)>> = Vec::with_capacity(nodes.len());
         for (slot, &x) in nodes.iter().enumerate() {
-            let art = process_node(inst, td, info, x, &mut labels);
-            for &v in &info[x].gx() {
+            let (bag, ni) = (&td.bags[x], &info[x]);
+            let mut arcs = Vec::new();
+            if ni.is_leaf {
+                arcs.extend(leaf_arcs(inst, bag, ni));
+            }
+            node_step(inst, bag, ni, &mut labels, |labels| {
+                let h = h_from_labels(inst, bag, labels);
+                let k = bag.len();
+                for (i, &a) in bag.iter().enumerate() {
+                    for (j, &b) in bag.iter().enumerate() {
+                        if i != j && h[i * k + j] < INF {
+                            arcs.push((a, b, h[i * k + j]));
+                        }
+                    }
+                }
+                h
+            });
+            for &v in &ni.gx() {
                 member_lists[v as usize].push(slot as u32);
             }
-            items_per_node.push(art.broadcast);
+            slot_arcs.push(arcs);
         }
         // Execute the level's broadcast: each contributing node ships its
-        // arc list to every member of its part (BCT over Steiner trees).
-        let parts = Parts::from_lists(nodes.len() as u32, member_lists);
+        // arc run to every member of its part (BCT over Steiner trees).
+        let parts = Parts::from_lists(nodes.len() as u32, member_lists)
+            .expect("member lists name the level's slots");
         let roles = pa::steiner_roles(&gtree, &parts);
-        // Flatten: per (graph node, part) the arcs it contributes.
-        let lookup: std::collections::HashMap<(u32, u32), &ArcList> = items_per_node
-            .iter()
-            .enumerate()
-            .flat_map(|(slot, contribs)| {
-                contribs
-                    .iter()
-                    .map(move |(v, arcs)| ((*v, slot as u32), arcs))
-            })
-            .collect();
-        let _ = pa::broadcast(net, &roles, |v, p| {
-            lookup
-                .get(&(v, p))
-                .map(|arcs| arcs.to_vec())
-                .unwrap_or_default()
+        pa::broadcast(net, &roles, |v, p| {
+            let arcs = &slot_arcs[p as usize];
+            let first = arcs.partition_point(|a| a.0 < v);
+            arcs[first..]
+                .iter()
+                .take_while(|a| a.0 == v)
+                .copied()
+                .collect()
         })?;
         gtree.charge_control_pulse(net);
     }

@@ -26,17 +26,21 @@
 //!
 //! ## Why memos make the gate sound
 //!
-//! The plain §4.2 build derives `H_x` costs from child *labels*, which by
-//! then can hold cross-branch values — smaller than `d_{G_x}` and dependent
-//! on processing order. Comparing such matrices across builds would be
-//! meaningless. [`NodeMemo`] instead stores the graph-determined matrix:
-//! post-APSP `d_{G_x}` restricted to `B_x` (the whole `d_{G_x}` at leaves),
-//! computed only from direct arcs and child memos. Member refreshes still
-//! bridge through label entries, so decoded answers stay exact: every
-//! stored entry is a realizable walk length, and coverage of `d_{G_a}` for
-//! each ancestor `a` is re-established by the refresh (see `build.rs`).
+//! Every build here runs the same §4.2 node step as the centralized build
+//! (`build.rs`); only the source of `H_x`'s child-level costs differs. The
+//! centralized build reads them from child *labels*, which by then can
+//! hold cross-branch values — smaller than `d_{G_x}` and dependent on
+//! processing order. Comparing such matrices across builds would be
+//! meaningless. This module reads them from child [`NodeMemo`]s instead,
+//! and memoizes the graph-determined matrix the step returns: post-APSP
+//! `d_{G_x}` restricted to `B_x` (the whole `d_{G_x}` at leaves, whose bag
+//! is `V(G_x)`), computed only from direct arcs and child memos. Member
+//! refreshes — the node step's and the ancestor-path refresh, one function
+//! — still bridge through label entries, so decoded answers stay exact:
+//! every stored entry is a realizable walk length, and coverage of
+//! `d_{G_a}` for each ancestor `a` is re-established by the refresh.
 
-use crate::build::direct_cost;
+use crate::build::{apsp, direct_matrix, node_step, order_bottom_up, refresh};
 use crate::label::{decode, Label};
 use rand::rngs::SmallRng;
 use std::collections::{BTreeMap, HashMap};
@@ -45,7 +49,7 @@ use treedec::region::decompose_region;
 use treedec::{decompose_centralized, DecompError, SepConfig};
 use twgraph::gen::derive_rng;
 use twgraph::tw::TreeDecomposition;
-use twgraph::{alg, dist_add, AppliedEdits, Dist, EdgeBatch, MultiDigraph, UGraph, INF};
+use twgraph::{alg, AppliedEdits, Dist, EdgeBatch, MultiDigraph, UGraph, INF};
 
 /// Graph-determined distance matrix memoized per tree node: post-APSP
 /// `d_{G_x}` restricted to `verts` (`B_x` for internal nodes, all of
@@ -58,61 +62,15 @@ pub struct NodeMemo {
     pub d: Vec<Dist>,
 }
 
-/// In-place Floyd–Warshall on a flat row-major `k × k` matrix.
-fn apsp_flat(d: &mut [Dist], k: usize) {
-    for m in 0..k {
-        for i in 0..k {
-            if d[i * k + m] >= INF {
-                continue;
-            }
-            for j in 0..k {
-                let cand = dist_add(d[i * k + m], d[m * k + j]);
-                if cand < d[i * k + j] {
-                    d[i * k + j] = cand;
-                }
-            }
-        }
-    }
-}
-
-/// Full `d_{G_x}` of a leaf: gather G_x arcs (no inherited–inherited
-/// edges), Floyd–Warshall over `gx`.
-fn leaf_matrix(inst: &MultiDigraph, ni: &NodeInfo) -> (Vec<u32>, Vec<Dist>) {
-    let gx = ni.gx();
-    let k = gx.len();
-    let local = |v: u32| gx.binary_search(&v).unwrap();
-    let in_inherited = |v: u32| ni.inherited.binary_search(&v).is_ok();
-    let mut d = vec![INF; k * k];
-    for i in 0..k {
-        d[i * k + i] = 0;
-    }
-    for &v in &gx {
-        for &ai in inst.out_arcs(v) {
-            let a = inst.arc(twgraph::ArcId(ai));
-            if gx.binary_search(&a.dst).is_ok() && !(in_inherited(a.src) && in_inherited(a.dst)) {
-                let (ia, ib) = (local(a.src), local(a.dst));
-                d[ia * k + ib] = d[ia * k + ib].min(a.weight);
-            }
-        }
-    }
-    apsp_flat(&mut d, k);
-    (gx, d)
-}
-
-/// Post-APSP `H_x` over `bag`, built purely from direct arcs and child
-/// memos (Lemma 3 with graph-determined inputs).
+/// Pre-APSP `H_x` over `bag` with child-level costs from child memos only
+/// (Lemma 3 with graph-determined inputs).
 fn h_from_memos<'a>(
     inst: &MultiDigraph,
     bag: &[u32],
     child_memos: impl Iterator<Item = &'a NodeMemo>,
 ) -> Vec<Dist> {
     let k = bag.len();
-    let mut h = vec![INF; k * k];
-    for (i, &a) in bag.iter().enumerate() {
-        for (j, &b) in bag.iter().enumerate() {
-            h[i * k + j] = if i == j { 0 } else { direct_cost(inst, a, b) };
-        }
-    }
+    let mut h = direct_matrix(inst, bag);
     for memo in child_memos {
         // Sorted intersection of the memo's vertex set with the bag.
         let mk = memo.verts.len();
@@ -138,44 +96,11 @@ fn h_from_memos<'a>(
             }
         }
     }
-    apsp_flat(&mut h, k);
     h
 }
 
-/// Lemma-4 member refresh restricted to `members`: bridge each member's
-/// existing bag entries through the exact `h` matrix and min-merge.
-fn refresh_from_h(labels: &mut [Label], bag: &[u32], h: &[Dist], members: &[u32]) {
-    let k = bag.len();
-    let bidx = |v: u32| bag.binary_search(&v).ok();
-    for &u in members {
-        let mut bridges: Vec<(usize, Dist, Dist)> = Vec::new();
-        if let Some(iu) = bidx(u) {
-            bridges.push((iu, 0, 0));
-        }
-        for &(s, to, from) in &labels[u as usize].entries {
-            if let Some(is) = bidx(s) {
-                if s != u {
-                    bridges.push((is, to, from));
-                }
-            }
-        }
-        for (j, &s) in bag.iter().enumerate() {
-            let mut best_to = INF;
-            let mut best_from = INF;
-            for &(is, to, from) in &bridges {
-                best_to = best_to.min(dist_add(to, h[is * k + j]));
-                best_from = best_from.min(dist_add(h[j * k + is], from));
-            }
-            if best_to < INF || best_from < INF {
-                labels[u as usize].merge(s, best_to, best_from);
-            }
-        }
-    }
-}
-
-/// Process tree node `x` bottom-up, writing `memo[x]` and refreshing
-/// labels (the memo-based twin of `build::process_node`).
-fn process_node_memoized(
+/// The node step at `x` with `H_x` from child memos; writes `memo[x]`.
+fn memo_step(
     inst: &MultiDigraph,
     td: &TreeDecomposition,
     info: &[NodeInfo],
@@ -183,45 +108,26 @@ fn process_node_memoized(
     labels: &mut [Label],
     memo: &mut [NodeMemo],
 ) {
-    if info[x].is_leaf {
-        let (gx, d) = leaf_matrix(inst, &info[x]);
-        let k = gx.len();
-        for (i, &u) in gx.iter().enumerate() {
-            for (j, &s) in gx.iter().enumerate() {
-                labels[u as usize].merge(s, d[i * k + j], d[j * k + i]);
-            }
-        }
-        memo[x] = NodeMemo { verts: gx, d };
-    } else {
-        let bag = &td.bags[x];
-        let h = {
-            let memo_ref = &*memo;
-            h_from_memos(inst, bag, td.children[x].iter().map(|&c| &memo_ref[c]))
-        };
-        let mut members: Vec<u32> = bag.clone();
-        for &c in &td.children[x] {
-            members.extend(info[c].gx());
-        }
-        members.sort_unstable();
-        members.dedup();
-        refresh_from_h(labels, bag, &h, &members);
-        memo[x] = NodeMemo {
-            verts: bag.clone(),
-            d: h,
-        };
-    }
+    let bag = &td.bags[x];
+    let d = node_step(inst, bag, &info[x], labels, |_| {
+        h_from_memos(inst, bag, td.children[x].iter().map(|&c| &memo[c]))
+    });
+    memo[x] = NodeMemo {
+        verts: bag.clone(),
+        d,
+    };
 }
 
 /// Build labels and memos for the whole decomposition, children first.
-pub fn build_labels_memoized(
+fn build_labels_memoized(
     inst: &MultiDigraph,
     td: &TreeDecomposition,
     info: &[NodeInfo],
 ) -> (Vec<Label>, Vec<NodeMemo>) {
     let mut labels: Vec<Label> = (0..inst.n() as u32).map(Label::new).collect();
     let mut memo: Vec<NodeMemo> = vec![NodeMemo::default(); td.bags.len()];
-    for x in crate::build::order_bottom_up(td) {
-        process_node_memoized(inst, td, info, x, &mut labels, &mut memo);
+    for x in order_bottom_up(td) {
+        memo_step(inst, td, info, x, &mut labels, &mut memo);
     }
     (labels, memo)
 }
@@ -338,6 +244,11 @@ impl PartLabeling {
     /// Part-local labels.
     pub fn labels(&self) -> &[Label] {
         &self.labels
+    }
+
+    /// Per-node memos aligned with [`Self::td`].
+    pub fn memos(&self) -> &[NodeMemo] {
+        &self.memo
     }
 
     /// The deepest tree node whose `V(G'_x)` contains every touched vertex.
@@ -475,7 +386,7 @@ impl PartLabeling {
         // Reprocess the replacement nodes children-first (reverse of the
         // BFS creation order).
         for &id in region_ids.iter().rev() {
-            process_node_memoized(
+            memo_step(
                 &self.inst,
                 &self.td,
                 &self.info,
@@ -488,11 +399,13 @@ impl PartLabeling {
         // Gate: H_{p(x)} recomputed from the new child memos must match its
         // memoized pre-update value; otherwise boundary-through distances
         // moved and the scoped refresh would be unsound.
-        let h_new = h_from_memos(
+        let bag = &self.td.bags[p_new];
+        let mut h_new = h_from_memos(
             &self.inst,
-            &self.td.bags[p_new],
+            bag,
             self.td.children[p_new].iter().map(|&c| &self.memo[c]),
         );
+        apsp(&mut h_new, bag.len());
         if h_new != self.memo[p_new].d {
             self.relabel_all();
             return Ok(ScopedStats {
@@ -510,9 +423,7 @@ impl PartLabeling {
         let mut refreshed = 0usize;
         let mut a = p_new;
         loop {
-            let k = self.td.bags[a].len();
-            debug_assert_eq!(self.memo[a].d.len(), k * k);
-            refresh_from_h(&mut self.labels, &self.td.bags[a], &self.memo[a].d, &dirty);
+            refresh(&mut self.labels, &self.td.bags[a], &self.memo[a].d, &dirty);
             refreshed += dirty.len();
             if self.td.parent[a] == a {
                 break;
@@ -574,15 +485,19 @@ impl DynamicLabeling {
         if n == 0 {
             return Err(DecompError::EmptyGraph);
         }
-        let (comp_of, n_comp) = alg::components(&graph);
-        let mut parts = Vec::with_capacity(n_comp);
-        for c in 0..n_comp {
-            let keep: Vec<bool> = comp_of.iter().map(|&cc| cc as usize == c).collect();
-            let (pg, old_of) = graph.induced(&keep);
-            let (pi, _) = inst.induced(&keep);
+        let (comp_of, comps) = alg::split_components(&graph, inst);
+        let mut parts = Vec::with_capacity(comps.len());
+        for (c, comp) in comps.into_iter().enumerate() {
             let mut rng = derive_rng("dynlabel_build", &[c as u64], seed);
-            let cfg = SepConfig::practical(pg.n());
-            parts.push(PartLabeling::build(pg, pi, old_of, t0, &cfg, &mut rng)?);
+            let cfg = SepConfig::practical(comp.graph.n());
+            parts.push(PartLabeling::build(
+                comp.graph,
+                comp.inst,
+                comp.old_of,
+                t0,
+                &cfg,
+                &mut rng,
+            )?);
         }
         let part_of = index_parts(n, &parts);
         Ok(DynamicLabeling {
@@ -731,18 +646,14 @@ impl DynamicLabeling {
         Ok(rep)
     }
 
-    /// Components changed: recompute them, match the new components to
-    /// old parts by vertex set, re-induce touched parts whose vertex set
-    /// survived and rebuild the rest from scratch.
+    /// Components changed: split the graph and instance into their new
+    /// components in one pass, match them to old parts by vertex set, hand
+    /// touched parts whose vertex set survived their new graph and
+    /// instance, and rebuild the rest from scratch.
     fn repartition(&mut self, touched: &[u32]) -> Result<UpdateReport, DecompError> {
-        let n = self.graph.n();
-        let (comp_of, n_comp) = alg::components(&self.graph);
-        let mut comp_verts: Vec<Vec<u32>> = vec![Vec::new(); n_comp];
-        for v in 0..n {
-            comp_verts[comp_of[v] as usize].push(v as u32);
-        }
-        // Old parts keyed by smallest vertex: `induced` old_of is sorted,
-        // so identical vertex sets share their first element.
+        let (comp_of, comps) = alg::split_components(&self.graph, &self.inst);
+        // Old parts keyed by smallest vertex: `old_of` is sorted, so
+        // identical vertex sets share their first element.
         let old_key: HashMap<u32, usize> = self
             .parts
             .iter()
@@ -755,12 +666,13 @@ impl DynamicLabeling {
             .collect();
 
         let mut rep = UpdateReport::default();
-        let mut new_parts: Vec<PartLabeling> = Vec::with_capacity(n_comp);
-        for verts in comp_verts {
+        let mut new_parts: Vec<PartLabeling> = Vec::with_capacity(comps.len());
+        for comp in comps {
+            let verts = &comp.old_of;
             let matching = old_key
                 .get(&verts[0])
                 .copied()
-                .filter(|&i| old_parts[i].as_ref().is_some_and(|p| p.old_of == verts));
+                .filter(|&i| old_parts[i].as_ref().is_some_and(|p| p.old_of == *verts));
             let touched_here: Vec<u32> = touched
                 .iter()
                 .copied()
@@ -780,7 +692,7 @@ impl DynamicLabeling {
                 }
                 Some(i) => {
                     let mut part = old_parts[i].take().expect("each old part matches once");
-                    (part.graph, part.inst) = self.induce(&verts);
+                    (part.graph, part.inst) = (comp.graph, comp.inst);
                     let touched_local: Vec<u32> = touched_here
                         .iter()
                         .map(|t| {
@@ -794,29 +706,25 @@ impl DynamicLabeling {
                 }
                 None => {
                     // Split or merge: the vertex set is new — scratch-build.
-                    let (pg, pi) = self.induce(&verts);
-                    let cfg = SepConfig::practical(pg.n());
+                    let cfg = SepConfig::practical(comp.graph.n());
                     rep.parts_rebuilt += 1;
                     rep.dirty.extend(verts.iter().copied());
-                    PartLabeling::build(pg, pi, verts, self.t0, &cfg, &mut rng)?
+                    PartLabeling::build(
+                        comp.graph,
+                        comp.inst,
+                        comp.old_of,
+                        self.t0,
+                        &cfg,
+                        &mut rng,
+                    )?
                 }
             };
             new_parts.push(part);
         }
         self.comp_of = comp_of;
-        self.part_of = index_parts(n, &new_parts);
+        self.part_of = index_parts(self.graph.n(), &new_parts);
         self.parts = new_parts;
         Ok(rep)
-    }
-
-    /// The current graph and instance induced on the sorted vertex list
-    /// `verts`.
-    fn induce(&self, verts: &[u32]) -> (UGraph, MultiDigraph) {
-        let mut keep = vec![false; self.graph.n()];
-        for &v in verts {
-            keep[v as usize] = true;
-        }
-        (self.graph.induced(&keep).0, self.inst.induced(&keep).0)
     }
 }
 

@@ -29,6 +29,6 @@ pub mod sssp;
 
 pub use build::build_labels_centralized;
 pub use dist::build_labels_distributed;
-pub use incremental::{build_labels_memoized, DynamicLabeling, PartLabeling, UpdateReport};
+pub use incremental::{DynamicLabeling, PartLabeling, UpdateReport};
 pub use label::{decode, decode_entries, decode_pair, Label};
 pub use sssp::{sssp_centralized, sssp_distributed};

@@ -1,6 +1,7 @@
 //! Connected components of undirected graphs.
 
 use crate::ugraph::UGraph;
+use crate::{Arc, MultiDigraph, UGraphBuilder};
 use std::collections::{HashMap, VecDeque};
 
 /// Component id per vertex, numbered 0.. in order of discovery, plus the
@@ -26,6 +27,72 @@ pub fn components(g: &UGraph) -> (Vec<u32>, usize) {
         next += 1;
     }
     (comp, next as usize)
+}
+
+/// One connected component cut out of a graph and its instance, in
+/// component-local ids.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Component {
+    /// The component's communication graph.
+    pub graph: UGraph,
+    /// The instance induced on the component: arc order, weights, labels
+    /// and undirected ids kept.
+    pub inst: MultiDigraph,
+    /// `old_of[local] = original` vertex id, ascending.
+    pub old_of: Vec<u32>,
+}
+
+impl Component {
+    /// Local id of original vertex `v`, if it lies in this component.
+    pub fn local_of(&self, v: u32) -> Option<u32> {
+        self.old_of.binary_search(&v).ok().map(|i| i as u32)
+    }
+}
+
+/// The components of `g` (numbered as [`components`] numbers them, so
+/// ordered by smallest vertex) and, per component, `g` and `inst` cut out
+/// on it — in one O(n + m) pass. Component `c` equals `g.induced(&keep)`
+/// and `inst.induced(&keep)` for the mask `keep` of its vertices; like
+/// there, arcs of `inst` between two components are dropped.
+pub fn split_components(g: &UGraph, inst: &MultiDigraph) -> (Vec<u32>, Vec<Component>) {
+    assert_eq!(g.n(), inst.n(), "graph and instance share the vertex set");
+    let (comp, n_comp) = components(g);
+    let mut old_of: Vec<Vec<u32>> = vec![Vec::new(); n_comp];
+    let mut local = vec![0u32; g.n()];
+    for v in g.vertices() {
+        let verts = &mut old_of[comp[v as usize] as usize];
+        local[v as usize] = verts.len() as u32;
+        verts.push(v);
+    }
+    let mut graphs: Vec<UGraphBuilder> = old_of
+        .iter()
+        .map(|verts| UGraphBuilder::new(verts.len()))
+        .collect();
+    for (u, v) in g.edges() {
+        graphs[comp[u as usize] as usize].add_edge(local[u as usize], local[v as usize]);
+    }
+    let mut arcs: Vec<Vec<Arc>> = vec![Vec::new(); n_comp];
+    for a in inst.arcs() {
+        let c = comp[a.src as usize];
+        if comp[a.dst as usize] == c {
+            arcs[c as usize].push(Arc {
+                src: local[a.src as usize],
+                dst: local[a.dst as usize],
+                ..*a
+            });
+        }
+    }
+    let parts = old_of
+        .into_iter()
+        .zip(graphs)
+        .zip(arcs)
+        .map(|((old_of, graph), arcs)| Component {
+            graph: graph.build(),
+            inst: MultiDigraph::from_arcs(old_of.len(), arcs),
+            old_of,
+        })
+        .collect();
+    (comp, parts)
 }
 
 /// Whether the graph is connected (vacuously true for n ≤ 1).
@@ -92,6 +159,55 @@ mod tests {
         assert_eq!(comp[0], comp[2]);
         assert_ne!(comp[0], comp[3]);
         assert!(!is_connected(&g));
+    }
+
+    /// Every component equals inducing the graph and the instance on its
+    /// vertex mask.
+    fn assert_split_matches_induced(g: &UGraph, inst: &MultiDigraph) {
+        let (comp, parts) = split_components(g, inst);
+        let (want_comp, n_comp) = components(g);
+        assert_eq!(comp, want_comp);
+        assert_eq!(parts.len(), n_comp);
+        for (c, part) in parts.iter().enumerate() {
+            let keep: Vec<bool> = comp.iter().map(|&x| x as usize == c).collect();
+            let (graph, old_of) = g.induced(&keep);
+            assert_eq!(part.graph, graph, "component {c}: graph");
+            assert_eq!(part.inst, inst.induced(&keep).0, "component {c}: instance");
+            assert_eq!(part.old_of, old_of, "component {c}: vertex map");
+        }
+        let firsts: Vec<u32> = parts.iter().map(|p| p.old_of[0]).collect();
+        assert!(
+            firsts.windows(2).all(|w| w[0] < w[1]),
+            "ordered by smallest vertex"
+        );
+    }
+
+    #[test]
+    fn split_components_equals_induced() {
+        let g = crate::gen::multi_component(48, 3);
+        assert_split_matches_induced(&g, &crate::gen::with_random_weights(&g, 9, 3));
+        assert_split_matches_induced(&g, &crate::gen::random_orientation(&g, 9, 0.3, 4));
+        // Isolated vertices around and between two paths, with labeled
+        // parallel arcs and undirected ids.
+        let g = UGraph::from_edges(9, [(1, 2), (2, 3), (5, 6), (6, 8)]);
+        let mut arcs = Vec::new();
+        for (u, v) in g.edges() {
+            arcs.push(Arc::new(u, v, 3));
+            arcs.push(Arc {
+                label: 1,
+                ..Arc::new(v, u, (u + v) as u64)
+            });
+            arcs.push(Arc::new(u, v, 1));
+        }
+        let inst = MultiDigraph::from_arcs(9, arcs);
+        assert_split_matches_induced(&g, &inst);
+        assert_split_matches_induced(
+            &g,
+            &MultiDigraph::from_undirected(9, g.edges().map(|(u, v)| (u, v, u as u64 + 1))),
+        );
+        let (_, parts) = split_components(&g, &inst);
+        assert_eq!(parts.len(), 5);
+        assert_eq!(parts.iter().filter(|p| p.graph.n() == 1).count(), 3);
     }
 
     #[test]

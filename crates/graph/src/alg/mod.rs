@@ -14,7 +14,9 @@ mod trees;
 
 pub use apsp::{apsp_dijkstra, floyd_warshall};
 pub use bfs::{bfs_dist, bfs_tree, diameter_exact, eccentricity};
-pub use components::{components, connected, is_connected, largest_component};
+pub use components::{
+    components, connected, is_connected, largest_component, split_components, Component,
+};
 pub use dijkstra::{dijkstra, dijkstra_to, ShortestPathTree};
 pub use mincut::{min_vertex_cut, MincutError};
 pub use trees::{centroid, random_spanning_tree, subtree_sizes, RootedTree};

@@ -215,7 +215,8 @@ mod tests {
         // Path 0-1-2-3-4; parts {0,1,2} and {2,3,4} share node 2.
         let g = twgraph::gen::path(5);
         let mut net = Network::new(g, NetworkConfig::default());
-        let parts = Parts::from_lists(2, vec![vec![0], vec![0], vec![0, 1], vec![1], vec![1]]);
+        let parts =
+            Parts::from_lists(2, vec![vec![0], vec![0], vec![0, 1], vec![1], vec![1]]).unwrap();
         let tr = part_bfs_trees(&mut net, &parts, &[(0, 2), (1, 2)]).unwrap();
         tr.validate().unwrap();
         assert_eq!(tr.roots(), vec![(0, 2), (1, 2)]);
@@ -229,7 +230,7 @@ mod tests {
         let g = twgraph::gen::path(5);
         let mut net = Network::new(g, NetworkConfig::default());
         // Part 0 = {0, 4}: not connected through members only.
-        let parts = Parts::from_lists(1, vec![vec![0], vec![], vec![], vec![], vec![0]]);
+        let parts = Parts::from_lists(1, vec![vec![0], vec![], vec![], vec![], vec![0]]).unwrap();
         let _ = part_bfs_trees(&mut net, &parts, &[(0, 0)]).unwrap();
     }
 }

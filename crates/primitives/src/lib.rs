@@ -51,5 +51,5 @@ pub mod roles;
 pub mod snc;
 
 pub use global::GlobalTree;
-pub use parts::Parts;
+pub use parts::{PartOutOfRange, Parts};
 pub use roles::{ParentMap, TreeRoles};

@@ -5,6 +5,8 @@
 //! collections have singleton lists; *near-disjoint* collections
 //! (paper Appendix A.1) allow shared boundary vertices.
 
+use std::fmt;
+
 /// Membership structure of a subgraph collection.
 #[derive(Clone, Debug, Default)]
 pub struct Parts {
@@ -24,14 +26,22 @@ impl Parts {
         }
     }
 
-    /// Build from per-node membership lists (near-disjoint case).
-    pub fn from_lists(n_parts: u32, mut members: Vec<Vec<u32>>) -> Self {
-        for list in &mut members {
+    /// Build from per-node membership lists (near-disjoint case). Returns
+    /// [`PartOutOfRange`] for the first node naming a part id
+    /// `>= n_parts`.
+    pub fn from_lists(n_parts: u32, mut members: Vec<Vec<u32>>) -> Result<Self, PartOutOfRange> {
+        for (node, list) in members.iter_mut().enumerate() {
             list.sort_unstable();
             list.dedup();
-            debug_assert!(list.iter().all(|&p| p < n_parts));
+            if let Some(&part) = list.last().filter(|&&p| p >= n_parts) {
+                return Err(PartOutOfRange {
+                    node: node as u32,
+                    part,
+                    n_parts,
+                });
+            }
         }
-        Parts { n_parts, members }
+        Ok(Parts { n_parts, members })
     }
 
     /// Number of nodes the structure covers.
@@ -68,6 +78,29 @@ impl Parts {
     }
 }
 
+/// A membership list named a part id outside `0..n_parts`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PartOutOfRange {
+    /// The node whose list holds the id.
+    pub node: u32,
+    /// The largest id in that list.
+    pub part: u32,
+    /// The declared number of parts.
+    pub n_parts: u32,
+}
+
+impl fmt::Display for PartOutOfRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "node {} names part {} of only {}",
+            self.node, self.part, self.n_parts
+        )
+    }
+}
+
+impl std::error::Error for PartOutOfRange {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,11 +119,26 @@ mod tests {
 
     #[test]
     fn near_disjoint_overlap() {
-        let p = Parts::from_lists(3, vec![vec![0, 1], vec![1], vec![2, 0, 1]]);
+        let p = Parts::from_lists(3, vec![vec![0, 1], vec![1], vec![2, 0, 1]]).unwrap();
         assert!(!p.is_disjoint());
         assert_eq!(p.max_overlap(), 3);
         assert!(p.contains(2, 2));
         assert!(p.contains(2, 0));
+    }
+
+    #[test]
+    fn out_of_range_part_is_a_typed_error() {
+        let err = Parts::from_lists(2, vec![vec![0], vec![1, 2, 0], vec![5]]).unwrap_err();
+        assert_eq!(
+            err,
+            PartOutOfRange {
+                node: 1,
+                part: 2,
+                n_parts: 2
+            }
+        );
+        assert_eq!(err.to_string(), "node 1 names part 2 of only 2");
+        assert!(Parts::from_lists(0, vec![vec![], vec![]]).is_ok());
     }
 
     #[test]

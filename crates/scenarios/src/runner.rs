@@ -5,45 +5,17 @@ use crate::registry::Scenario;
 use crate::report::{CellError, CellReport};
 use treedec::decomp::{DecompError, DecompOutcome};
 use treedec::dist::DistDecompOutcome;
-use twgraph::alg::components;
 use twgraph::{MultiDigraph, UGraph};
 
 /// One connected component of a scenario, with its induced instance and
 /// the mapping back to original vertex ids.
-pub struct Part {
-    /// The component's communication graph (local ids `0..part_n`).
-    pub graph: UGraph,
-    /// The induced weighted instance (weights/labels/uedges preserved).
-    pub inst: MultiDigraph,
-    /// `old_of[local] = original` vertex id.
-    pub old_of: Vec<u32>,
-}
-
-impl Part {
-    /// Local id of original vertex `v`, if it lies in this part.
-    pub fn local_of(&self, v: u32) -> Option<u32> {
-        self.old_of.binary_search(&v).ok().map(|i| i as u32)
-    }
-}
+pub type Part = twgraph::alg::Component;
 
 /// Split `inst` (over communication graph `g`) into connected components.
 /// Parts come out ordered by their smallest original vertex, so `old_of`
 /// is sorted and vertex 0 lies in part 0.
 pub fn split_components(g: &UGraph, inst: &MultiDigraph) -> Vec<Part> {
-    let (comp, k) = components(g);
-    (0..k)
-        .map(|c| {
-            let keep: Vec<bool> = comp.iter().map(|&x| x as usize == c).collect();
-            let (graph, old_of) = g.induced(&keep);
-            let (sub, old2) = inst.induced(&keep);
-            debug_assert_eq!(old_of, old2);
-            Part {
-                graph,
-                inst: sub,
-                old_of,
-            }
-        })
-        .collect()
+    twgraph::alg::split_components(g, inst).1
 }
 
 /// Centralized tree decomposition of one part (the harness decomposes each

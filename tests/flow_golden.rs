@@ -69,7 +69,7 @@ fn near_disjoint_parts(n: usize, block: u32) -> Parts {
             }
         })
         .collect();
-    Parts::from_lists(n_parts, members)
+    Parts::from_lists(n_parts, members).expect("part ids below n_parts")
 }
 
 fn flow_case(name: &str, g: &UGraph, block: u32, bandwidth_words: u64) -> Vec<String> {
