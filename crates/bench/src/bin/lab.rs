@@ -1,4 +1,4 @@
-//! `lab` — the spec-driven experiment harness CLI.
+//! `lab` — the experiment harness CLI.
 //!
 //! ```sh
 //! cargo run --release -p lowtw-bench --bin lab -- list
@@ -8,18 +8,17 @@
 //! cargo run --release -p lowtw-bench --bin lab -- gate --candidate LAB_RESULTS.json
 //! ```
 //!
-//! Experiment specs live in `crates/bench/experiments/*.toml`
-//! (`$LAB_EXPERIMENTS_DIR` overrides). Committed baselines are the
-//! `BENCH_<experiment>.json` files in the repository root — one
-//! [`LabReport`] per experiment, written by `run --bless` and compared by
-//! `gate`. See `docs/EXPERIMENTS.md` for the spec format and the gate
-//! semantics.
+//! The experiments are the table `lowtw_bench::lab::spec::experiments()`.
+//! Committed baselines are the `BENCH_<experiment>.json` files in the
+//! repository root — one [`LabReport`] per experiment, written by
+//! `run --bless` and compared by `gate`. See `docs/EXPERIMENTS.md` for the
+//! table's fields and the gate semantics.
 
 use lowtw_bench::lab::gate::{coverage, gate, GateConfig};
 use lowtw_bench::lab::plan::{plan, Trial};
 use lowtw_bench::lab::results::LabReport;
 use lowtw_bench::lab::runner::run_trials;
-use lowtw_bench::lab::spec::{load_all, ExperimentSpec};
+use lowtw_bench::lab::spec::{experiments, ExperimentSpec};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -36,13 +35,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let specs = match load_all() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("lab: spec error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let specs = experiments();
     match cmd.as_str() {
         "list" => list(&specs),
         "plan" => plan_cmd(&specs, &opts),
@@ -136,7 +129,7 @@ fn selected<'a>(
         Some(name) => {
             let hit: Vec<&ExperimentSpec> = specs.iter().filter(|s| s.name == *name).collect();
             if hit.is_empty() {
-                let known: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+                let known: Vec<&str> = specs.iter().map(|s| s.name).collect();
                 Err(format!(
                     "unknown experiment {name:?} (expected one of {known:?})"
                 ))
@@ -152,9 +145,9 @@ fn planned(specs: &[ExperimentSpec], opts: &Opts) -> Result<Vec<Trial>, String> 
     let chosen = selected(specs, opts)?;
     let trials: Vec<Trial> = chosen.iter().flat_map(|s| plan(s, profile)).collect();
     if trials.is_empty() {
-        let known: Vec<String> = chosen
+        let known: Vec<&str> = chosen
             .iter()
-            .flat_map(|s| s.profiles.keys().cloned())
+            .flat_map(|s| s.profiles.keys().copied())
             .collect();
         return Err(format!(
             "no experiment defines profile {profile:?} (profiles present: {known:?})"
@@ -164,14 +157,10 @@ fn planned(specs: &[ExperimentSpec], opts: &Opts) -> Result<Vec<Trial>, String> 
 }
 
 fn list(specs: &[ExperimentSpec]) -> ExitCode {
-    println!(
-        "{} experiments in {}",
-        specs.len(),
-        lowtw_bench::lab::spec::experiments_dir().display()
-    );
+    println!("{} experiments", specs.len());
     for s in specs {
-        let profiles: Vec<&str> = s.profiles.keys().map(String::as_str).collect();
-        let variants: Vec<&str> = s.variants.iter().map(|v| v.name.as_str()).collect();
+        let profiles: Vec<&str> = s.profiles.keys().copied().collect();
+        let variants: Vec<&str> = s.variants.iter().map(|v| v.name).collect();
         println!(
             "  {:<10} driver={:<7} profiles={profiles:?} variants={variants:?}",
             s.name,
@@ -285,9 +274,8 @@ fn gate_cmd(specs: &[ExperimentSpec], opts: &Opts) -> ExitCode {
     }
     // Also require a baseline for every spec'd experiment the candidate
     // claims to cover — and fail on candidates for unknown experiments.
-    let spec_names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
     for exp in &experiments {
-        if !spec_names.contains(&exp.as_str()) {
+        if specs.iter().all(|s| s.name != exp) {
             eprintln!("lab gate: candidate row experiment {exp:?} has no spec");
             return ExitCode::FAILURE;
         }

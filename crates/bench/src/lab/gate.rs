@@ -257,9 +257,12 @@ pub fn coverage(
     let present = candidate.experiments();
     let mut out: Vec<Finding> = specs
         .iter()
-        .filter(|s| s.profiles.contains_key(&candidate.profile) && !present.contains(&s.name))
+        .filter(|s| {
+            s.profiles.contains_key(candidate.profile.as_str())
+                && !present.iter().any(|p| p == s.name)
+        })
         .map(|s| Finding::ExperimentMissing {
-            experiment: s.name.clone(),
+            experiment: s.name.to_string(),
         })
         .collect();
     let io = |e: std::io::Error| BaselineError::Io {
@@ -565,7 +568,7 @@ mod tests {
     /// The coverage findings of a quick candidate with one row per
     /// experiment in `ran`, for `(name, profile)` specs, against a fresh
     /// baseline directory holding empty `files`.
-    fn gaps(specs: &[(&str, &str)], ran: &[&str], files: &[&str]) -> Vec<Finding> {
+    fn gaps(specs: &[(&'static str, &'static str)], ran: &[&str], files: &[&str]) -> Vec<Finding> {
         static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let k = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("lab-gate-{}-{k}", std::process::id()));
@@ -575,9 +578,12 @@ mod tests {
         }
         let specs: Vec<ExperimentSpec> = specs
             .iter()
-            .map(|(name, profile)| {
-                let src = format!("name = \"{name}\"\ndriver = \"engine\"\n[profile.{profile}]\n");
-                crate::lab::spec::parse_spec("t.toml", &src).unwrap()
+            .map(|&(name, profile)| ExperimentSpec {
+                name,
+                driver: crate::lab::spec::Driver::Engine,
+                params: Default::default(),
+                variants: Vec::new(),
+                profiles: [(profile, Default::default())].into(),
             })
             .collect();
         let rows = ran

@@ -1,23 +1,22 @@
-//! # lab — the declarative, spec-driven experiment harness
+//! # lab — the experiment harness
 //!
-//! The six ad-hoc bench bins of earlier revisions are now one pipeline:
+//! One pipeline plans, runs and gates every experiment:
 //!
 //! ```text
-//! experiments/*.toml ──parse──▶ ExperimentSpec ──plan──▶ [Trial]
-//!        (spec)                    (spec.rs)            (plan.rs)
-//!                                                           │ run
-//!                                                           ▼
+//! spec::experiments() ──▶ [ExperimentSpec] ──plan──▶ [Trial]
+//!                            (spec.rs)              (plan.rs)
+//!                                                       │ run
+//!                                                       ▼
 //! BENCH_<name>.json ◀──bless── LabReport { schema_version, host,
 //!     (baseline)               profile, rows: Vec<TrialRow> }
 //!        │                                (results.rs, runner.rs)
-//!        └──────────── gate ◀── candidate run ──────────────┘
+//!        └──────────── gate ◀── candidate run ──────────┘
 //!                    (gate.rs: det exact, wall ±20%)
 //! ```
 //!
-//! * [`toml`] — span-tracking parser for the spec subset.
-//! * [`spec`] — typed specs validated against the live scenario/pipeline
-//!   registries; errors carry `file:line:col`.
-//! * [`plan`] — cross-product expansion into the trial grid.
+//! * [`spec`] — the table of experiments: driver, base params, variants
+//!   and one parameter overlay per profile.
+//! * [`plan`] — expansion of one experiment × profile into its trials.
 //! * [`runner`] — executes trials through [`crate::drivers`].
 //! * [`results`] — the versioned [`results::LabReport`] table.
 //! * [`gate`] — the CI regression gate.
@@ -27,4 +26,3 @@ pub mod plan;
 pub mod results;
 pub mod runner;
 pub mod spec;
-pub mod toml;

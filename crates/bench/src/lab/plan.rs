@@ -1,11 +1,10 @@
-//! Trial planning: expand a spec × profile into the concrete trial grid.
+//! Trial planning: expand an experiment × profile into its trials.
 //!
-//! The grid is the full cross-product `scenarios × pipelines × variants ×
-//! reps` (dimensions an experiment does not use contribute exactly one
-//! point each), so the planned count is always the product of the
-//! dimension sizes — a property the spec test suite pins down.
+//! The matrix driver plans one cell per corpus scenario × pipeline, every
+//! other driver one `-/-` cell, and each cell is multiplied by the
+//! experiment's variants (one unnamed `-` variant when it has none).
 
-use crate::lab::spec::{Driver, ExperimentSpec, Params, Profile};
+use crate::lab::spec::{Driver, ExperimentSpec, Params, Variant};
 
 /// One fully-resolved unit of work.
 #[derive(Clone, Debug)]
@@ -17,7 +16,7 @@ pub struct Trial {
     pub scenario: String,
     /// Matrix pipeline name, `"-"` when unused.
     pub pipeline: String,
-    /// Variant name, `"-"` when the spec declares no variants.
+    /// Variant name, `"-"` when the experiment has no variants.
     pub variant: String,
     /// Repetition index, `0..reps`.
     pub rep: u64,
@@ -36,141 +35,103 @@ impl Trial {
     }
 }
 
-/// Expand one experiment under one profile into its trial grid.
+/// Expand one experiment under one profile into its trials.
 ///
-/// Unknown profile names return an empty grid — the caller distinguishes
+/// Unknown profile names return an empty plan — the caller distinguishes
 /// "experiment does not define this profile" (skip) from "no experiment
-/// defines it" (error) by summing across specs.
+/// defines it" (error) by summing across experiments.
 pub fn plan(spec: &ExperimentSpec, profile: &str) -> Vec<Trial> {
-    let Some(prof) = spec.profiles.get(profile) else {
+    let Some(overlay) = spec.profiles.get(profile) else {
         return Vec::new();
     };
-    let scenarios = scenario_dim(spec, prof);
-    let pipelines = pipeline_dim(spec, prof);
-    let variants = variant_dim(spec, prof);
-    let reps = prof.reps.unwrap_or(spec.reps);
-    let base = spec.params.overlaid(&prof.params);
-
+    let base = spec.params.overlaid(overlay);
+    let cells: Vec<(String, String)> = if spec.driver == Driver::Matrix {
+        let pipelines = scenarios::all_pipelines();
+        scenarios::corpus()
+            .iter()
+            .flat_map(|sc| {
+                pipelines
+                    .iter()
+                    .map(|p| (sc.name.to_string(), p.name().to_string()))
+            })
+            .collect()
+    } else {
+        vec![("-".to_string(), "-".to_string())]
+    };
+    let unnamed = [Variant {
+        name: "-",
+        params: Params::default(),
+    }];
+    let variants = if spec.variants.is_empty() {
+        &unnamed[..]
+    } else {
+        &spec.variants
+    };
     let mut out = Vec::new();
-    for sc in &scenarios {
-        for pl in &pipelines {
-            for (vname, vparams) in &variants {
-                for rep in 0..reps {
-                    out.push(Trial {
-                        experiment: spec.name.clone(),
-                        driver: spec.driver,
-                        scenario: sc.clone(),
-                        pipeline: pl.clone(),
-                        variant: vname.clone(),
-                        rep,
-                        params: base.overlaid(vparams),
-                    });
-                }
-            }
+    for (scenario, pipeline) in &cells {
+        for v in variants {
+            out.push(Trial {
+                experiment: spec.name.to_string(),
+                driver: spec.driver,
+                scenario: scenario.clone(),
+                pipeline: pipeline.clone(),
+                variant: v.name.to_string(),
+                rep: 0,
+                params: base.overlaid(&v.params),
+            });
         }
     }
     out
 }
 
-fn scenario_dim(spec: &ExperimentSpec, prof: &Profile) -> Vec<String> {
-    if spec.driver != Driver::Matrix {
-        return vec!["-".to_string()];
-    }
-    let restricted = if !prof.scenarios.is_empty() {
-        prof.scenarios.clone()
-    } else {
-        spec.scenarios.clone()
-    };
-    if restricted.is_empty() {
-        scenarios::corpus()
-            .iter()
-            .map(|s| s.name.to_string())
-            .collect()
-    } else {
-        restricted
-    }
-}
-
-fn pipeline_dim(spec: &ExperimentSpec, prof: &Profile) -> Vec<String> {
-    if spec.driver != Driver::Matrix {
-        return vec!["-".to_string()];
-    }
-    let restricted = if !prof.pipelines.is_empty() {
-        prof.pipelines.clone()
-    } else {
-        spec.pipelines.clone()
-    };
-    if restricted.is_empty() {
-        scenarios::all_pipelines()
-            .iter()
-            .map(|p| p.name().to_string())
-            .collect()
-    } else {
-        restricted
-    }
-}
-
-fn variant_dim(spec: &ExperimentSpec, prof: &Profile) -> Vec<(String, Params)> {
-    if spec.variants.is_empty() {
-        return vec![("-".to_string(), Params::default())];
-    }
-    spec.variants
-        .iter()
-        .filter(|v| prof.variants.is_empty() || prof.variants.contains(&v.name))
-        .map(|v| (v.name.clone(), v.params.clone()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lab::spec::parse_spec;
+    use crate::lab::results::LabReport;
+    use crate::lab::spec::{experiments, ParamValue};
+    use std::path::Path;
+
+    fn experiment(name: &str) -> ExperimentSpec {
+        experiments()
+            .into_iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("no experiment {name:?}"))
+    }
 
     #[test]
     fn profile_and_variant_params_overlay_in_order() {
-        let spec = parse_spec(
-            "t.toml",
-            r#"
-name = "t"
-driver = "serve"
-reps = 2
-
-[params]
-n = 100
-seed = 1
-
-[[variant]]
-name = "a"
-n = 7
-
-[[variant]]
-name = "b"
-
-[profile.quick]
-n = 10
-"#,
-        )
-        .unwrap();
-        let trials = plan(&spec, "quick");
-        // 1 scenario-dim × 1 pipeline-dim × 2 variants × 2 reps.
-        assert_eq!(trials.len(), 4);
-        let a = trials.iter().find(|t| t.variant == "a").unwrap();
-        let b = trials.iter().find(|t| t.variant == "b").unwrap();
-        // Variant overlay beats the profile overlay; profile beats base.
-        assert_eq!(a.params.usize("n", 0), 7);
-        assert_eq!(b.params.usize("n", 0), 10);
-        assert_eq!(a.params.u64("seed", 0), 1);
-        assert_eq!(a.id(), "t/-/-/a#0");
+        // Variant params beat profile params, which beat the base params.
+        let mut serve = experiment("serve");
+        let packed_params = &mut serve.variants[1].params.0;
+        packed_params.insert("queries".into(), ParamValue::Int(7));
+        let trials = plan(&serve, "full");
+        let [flat, packed] = &trials[..] else {
+            panic!("serve plans one trial per layout");
+        };
+        assert_eq!(plan(&serve, "quick")[0].params.usize("queries", 0), 50_000);
+        assert_eq!(flat.params.usize("queries", 0), 1_000_000);
+        assert_eq!(packed.params.usize("queries", 0), 7);
+        assert_eq!(packed.params.str("layout", ""), "packed");
+        assert_eq!(packed.params.u64("seed", 0), 7);
+        assert_eq!(packed.id(), "serve/-/-/packed#0");
+        // Every trial of the table resolves in that order.
+        for spec in experiments() {
+            for (profile, overlay) in &spec.profiles {
+                for t in plan(&spec, profile) {
+                    let variant = spec.variants.iter().find(|v| v.name == t.variant);
+                    let mut want = spec.params.overlaid(overlay);
+                    if let Some(v) = variant {
+                        want = want.overlaid(&v.params);
+                    }
+                    assert_eq!(t.params, want, "{} {profile}", t.id());
+                }
+            }
+        }
     }
 
     #[test]
     fn matrix_defaults_to_the_full_registry() {
-        let spec = parse_spec(
-            "m.toml",
-            "name = \"m\"\ndriver = \"matrix\"\n[profile.quick]\n",
-        )
-        .unwrap();
-        let trials = plan(&spec, "quick");
+        let trials = plan(&experiment("scenarios"), "quick");
         let cells = scenarios::corpus().len() * scenarios::all_pipelines().len();
         assert_eq!(trials.len(), cells);
         assert!(trials.iter().all(|t| t.variant == "-" && t.rep == 0));
@@ -178,60 +139,57 @@ n = 10
 
     #[test]
     fn unknown_profile_plans_nothing() {
-        let spec = parse_spec(
-            "m.toml",
-            "name = \"m\"\ndriver = \"engine\"\n[profile.quick]\n",
-        )
-        .unwrap();
-        assert!(plan(&spec, "galactic").is_empty());
-    }
-
-    /// Build a matrix spec restricted to the first `n_sc` scenarios and
-    /// `n_pl` pipelines of the live registries, with `n_var` variants.
-    fn synth_spec(n_sc: usize, n_pl: usize, n_var: usize, reps: u64) -> ExperimentSpec {
-        let sc: Vec<String> = scenarios::corpus()
-            .iter()
-            .take(n_sc)
-            .map(|s| format!("\"{}\"", s.name))
-            .collect();
-        let pl: Vec<String> = scenarios::all_pipelines()
-            .iter()
-            .take(n_pl)
-            .map(|p| format!("\"{}\"", p.name()))
-            .collect();
-        let mut doc = format!(
-            "name = \"synth\"\ndriver = \"matrix\"\nreps = {reps}\nscenarios = [{}]\npipelines = [{}]\n",
-            sc.join(", "),
-            pl.join(", "),
-        );
-        for i in 0..n_var {
-            doc.push_str(&format!("[[variant]]\nname = \"v{i}\"\nidx = {i}\n"));
+        for spec in experiments() {
+            assert!(plan(&spec, "galactic").is_empty(), "{}", spec.name);
         }
-        doc.push_str("[profile.quick]\n");
-        parse_spec("synth.toml", &doc).unwrap()
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
-
-        /// The planned grid is always exactly the product of the dimension
-        /// sizes: |scenarios| x |pipelines| x max(|variants|, 1) x reps.
-        #[test]
-        fn plan_count_is_the_dimension_product(
-            n_sc in 1usize..12,
-            n_pl in 1usize..11,
-            n_var in 0usize..5,
-            reps in 1u64..4,
-        ) {
-            let spec = synth_spec(n_sc, n_pl, n_var, reps);
-            let trials = plan(&spec, "quick");
-            let expected = n_sc * n_pl * n_var.max(1) * reps as usize;
-            proptest::prop_assert_eq!(trials.len(), expected);
-            // Every trial id is distinct — the gate join key never collides.
-            let mut ids: Vec<String> = trials.iter().map(Trial::id).collect();
-            ids.sort();
-            ids.dedup();
-            proptest::prop_assert_eq!(ids.len(), expected);
+    #[test]
+    fn quick_plan_matches_the_committed_baselines() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let specs = experiments();
+        assert!(
+            specs.windows(2).all(|w| w[0].name < w[1].name),
+            "sorted, distinct names"
+        );
+        for spec in &specs {
+            let path = root.join(format!("BENCH_{}.json", spec.name));
+            let baseline =
+                LabReport::load(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let planned: Vec<String> = plan(spec, "quick").iter().map(Trial::id).collect();
+            let blessed: Vec<&str> = baseline.rows.iter().map(|r| r.id.as_str()).collect();
+            assert_eq!(
+                planned, blessed,
+                "{}: quick plan vs baseline rows",
+                spec.name
+            );
+        }
+        for entry in std::fs::read_dir(&root).unwrap() {
+            let file = entry.unwrap().file_name().to_string_lossy().into_owned();
+            if let Some(name) = file
+                .strip_prefix("BENCH_")
+                .and_then(|f| f.strip_suffix(".json"))
+            {
+                assert!(
+                    specs.iter().any(|s| s.name == name),
+                    "{file} names no experiment"
+                );
+            }
+        }
+        for spec in &specs {
+            for profile in spec.profiles.keys() {
+                let mut ids: Vec<String> = plan(spec, profile).iter().map(Trial::id).collect();
+                let planned = ids.len();
+                ids.sort();
+                ids.dedup();
+                assert!(planned > 0, "{} {profile} plans no trial", spec.name);
+                assert_eq!(
+                    ids.len(),
+                    planned,
+                    "{} {profile} repeats a trial id",
+                    spec.name
+                );
+            }
         }
     }
 }

@@ -1,17 +1,9 @@
-//! Experiment specs: the declarative layer of the lab.
-//!
-//! A spec is one TOML file under `crates/bench/experiments/` naming a
-//! [`Driver`], base [`Params`], optional `[[variant]]` overlays, optional
-//! scenario/pipeline restrictions (matrix driver only), and one
-//! `[profile.<name>]` table per runnable profile. Semantic validation
-//! happens here with the spans the parser preserved, so an unknown
-//! pipeline in `engine.toml` reports `engine.toml:7:1: unknown pipeline
-//! "ssp" (expected one of ...)` instead of failing downstream.
+//! The lab's experiments, defined as code: [`experiments`] is the one
+//! table of every [`ExperimentSpec`] — its [`Driver`], base [`Params`],
+//! variants, and one parameter overlay per runnable profile.
 
-use crate::lab::toml::{self, Item, Span, Spanned, Table, TomlValue};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
 
 /// Which trial runner an experiment dispatches to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,10 +38,6 @@ impl Driver {
             .find(|(_, d)| *d == self)
             .map(|(n, _)| *n)
             .expect("every driver is registered")
-    }
-
-    fn parse(s: &str) -> Option<Driver> {
-        Driver::ALL.iter().find(|(n, _)| *n == s).map(|(_, d)| *d)
     }
 }
 
@@ -134,473 +122,172 @@ impl Params {
 /// A named parameter overlay: one point of the variant dimension.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Variant {
-    pub name: String,
+    pub name: &'static str,
     pub params: Params,
 }
 
-/// A named runnable configuration of an experiment.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Profile {
-    /// Parameter overlay applied on top of the spec base params.
-    pub params: Params,
-    /// Restrict the variant dimension to these names (empty = all).
-    pub variants: Vec<String>,
-    /// Matrix only: restrict scenarios (empty = all registered).
-    pub scenarios: Vec<String>,
-    /// Matrix only: restrict pipelines (empty = all registered).
-    pub pipelines: Vec<String>,
-    /// Repetitions per trial (default: the spec-level `reps`).
-    pub reps: Option<u64>,
-}
-
-/// One parsed, validated experiment spec.
+/// One experiment: what `lab` plans, runs and gates under one name.
 #[derive(Clone, Debug)]
 pub struct ExperimentSpec {
     /// Experiment name — also the committed baseline stem (`BENCH_<name>.json`).
-    pub name: String,
+    pub name: &'static str,
     pub driver: Driver,
-    /// Default repetitions per trial.
-    pub reps: u64,
-    /// Base parameters every profile/variant overlays.
+    /// Base parameters every profile and variant overlays.
     pub params: Params,
     /// The variant dimension (empty = one unnamed variant).
     pub variants: Vec<Variant>,
-    /// Matrix only: the scenario dimension (empty = full registry).
-    pub scenarios: Vec<String>,
-    /// Matrix only: the pipeline dimension (empty = all pipelines).
-    pub pipelines: Vec<String>,
-    /// Named profiles (`quick`, `full`, ...).
-    pub profiles: BTreeMap<String, Profile>,
+    /// One parameter overlay per runnable profile (`quick`, `full`, ...).
+    pub profiles: BTreeMap<&'static str, Params>,
 }
 
-/// Spec validation failure, pointing at the offending token.
-#[derive(Debug)]
-pub struct SpecError {
-    /// Spec file the error is from (file name only).
-    pub file: String,
-    pub span: Span,
-    pub msg: String,
-}
-
-impl fmt::Display for SpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}:{}: {}",
-            self.file, self.span.line, self.span.col, self.msg
-        )
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-fn serr(file: &str, span: Span, msg: impl Into<String>) -> SpecError {
-    SpecError {
-        file: file.to_string(),
-        span,
-        msg: msg.into(),
-    }
-}
-
-/// The directory experiment specs live in: `$LAB_EXPERIMENTS_DIR` if set,
-/// else `crates/bench/experiments/` resolved from the compiled manifest.
-pub fn experiments_dir() -> PathBuf {
-    std::env::var_os("LAB_EXPERIMENTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("experiments"))
-}
-
-/// Load and validate every `*.toml` spec in the experiments directory,
-/// sorted by name.
-pub fn load_all() -> Result<Vec<ExperimentSpec>, SpecError> {
-    let dir = experiments_dir();
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("cannot read spec dir {}: {e}", dir.display()))
-        .map(|e| e.expect("spec dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "toml"))
-        .collect();
-    paths.sort();
-    let mut specs = Vec::new();
-    for p in &paths {
-        let src = std::fs::read_to_string(p)
-            .unwrap_or_else(|e| panic!("cannot read spec {}: {e}", p.display()));
-        let file = p
-            .file_name()
-            .map(|f| f.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        specs.push(parse_spec(&file, &src)?);
-    }
-    specs.sort_by(|a, b| a.name.cmp(&b.name));
-    Ok(specs)
-}
-
-/// Parse one spec document and validate it against the live registries.
-pub fn parse_spec(file: &str, src: &str) -> Result<ExperimentSpec, SpecError> {
-    let root = toml::parse(src).map_err(|e| serr(file, e.span, e.msg))?;
-    let str_of = |v: &Spanned<TomlValue>, what: &str| -> Result<String, SpecError> {
-        match &v.value {
-            TomlValue::Str(s) => Ok(s.clone()),
-            other => Err(serr(
-                file,
-                v.span,
-                format!("{what} must be a string, got {}", other.type_name()),
-            )),
-        }
-    };
-    let int_of = |v: &Spanned<TomlValue>, what: &str| -> Result<i64, SpecError> {
-        match &v.value {
-            TomlValue::Int(i) => Ok(*i),
-            other => Err(serr(
-                file,
-                v.span,
-                format!("{what} must be an integer, got {}", other.type_name()),
-            )),
-        }
-    };
-
-    let name_v = root
-        .value("name")
-        .ok_or_else(|| serr(file, root.span, "missing required key `name`"))?;
-    let name = str_of(name_v, "`name`")?;
-    let driver_v = root
-        .value("driver")
-        .ok_or_else(|| serr(file, root.span, "missing required key `driver`"))?;
-    let driver_s = str_of(driver_v, "`driver`")?;
-    let driver = Driver::parse(&driver_s).ok_or_else(|| {
-        let known: Vec<&str> = Driver::ALL.iter().map(|(n, _)| *n).collect();
-        serr(
-            file,
-            driver_v.span,
-            format!("unknown driver {driver_s:?} (expected one of {known:?})"),
-        )
-    })?;
-    let reps = match root.value("reps") {
-        Some(v) => {
-            let r = int_of(v, "`reps`")?;
-            if r < 1 {
-                return Err(serr(file, v.span, format!("`reps` must be >= 1, got {r}")));
-            }
-            r as u64
-        }
-        None => 1,
-    };
-
-    let params = match root.get("params") {
-        Some(Item::Table(t)) => table_params(file, t)?,
-        Some(_) => return Err(serr(file, root.span, "`params` must be a table")),
-        None => Params::default(),
-    };
-
-    let mut variants = Vec::new();
-    if let Some(vs) = root.array_of_tables("variant") {
-        for vt in vs {
-            let nv = vt
-                .value("name")
-                .ok_or_else(|| serr(file, vt.span, "[[variant]] missing `name`"))?;
-            let vname = str_of(nv, "variant `name`")?;
-            if variants.iter().any(|v: &Variant| v.name == vname) {
-                return Err(serr(file, nv.span, format!("duplicate variant {vname:?}")));
-            }
-            let vparams = table_params_except(file, vt, &["name"])?;
-            variants.push(Variant {
-                name: vname,
-                params: vparams,
-            });
-        }
-    }
-
-    let scenarios = name_list(file, &root, "scenarios")?;
-    let pipelines = name_list(file, &root, "pipelines")?;
-    validate_dims(file, driver, &scenarios, &pipelines)?;
-
-    let mut profiles = BTreeMap::new();
-    if let Some(pt) = root.table("profile") {
-        for (key, item) in &pt.entries {
-            let t = match item {
-                Item::Table(t) => t,
-                _ => {
-                    return Err(serr(
-                        file,
-                        key.span,
-                        format!("[profile.{}] must be a table", key.value),
-                    ))
-                }
-            };
-            let p_reps = match t.value("reps") {
-                Some(v) => {
-                    let r = int_of(v, "profile `reps`")?;
-                    if r < 1 {
-                        return Err(serr(file, v.span, format!("`reps` must be >= 1, got {r}")));
-                    }
-                    Some(r as u64)
-                }
-                None => None,
-            };
-            let p_scenarios = name_list(file, t, "scenarios")?;
-            let p_pipelines = name_list(file, t, "pipelines")?;
-            validate_dims(file, driver, &p_scenarios, &p_pipelines)?;
-            let p_variants = name_list_raw(file, t, "variants")?;
-            for v in &p_variants {
-                if !variants.iter().any(|x| x.name == v.value) {
-                    let known: Vec<&str> = variants.iter().map(|x| x.name.as_str()).collect();
-                    return Err(serr(
-                        file,
-                        v.span,
-                        format!("unknown variant {:?} (expected one of {known:?})", v.value),
-                    ));
-                }
-            }
-            let p_params =
-                table_params_except(file, t, &["reps", "scenarios", "pipelines", "variants"])?;
-            profiles.insert(
-                key.value.clone(),
-                Profile {
-                    params: p_params,
-                    variants: p_variants.into_iter().map(|v| v.value).collect(),
-                    scenarios: p_scenarios,
-                    pipelines: p_pipelines,
-                    reps: p_reps,
-                },
-            );
-        }
-    }
-    if profiles.is_empty() {
-        return Err(serr(
-            file,
-            root.span,
-            "spec defines no [profile.*] tables (need at least `quick`)",
-        ));
-    }
-
-    Ok(ExperimentSpec {
-        name,
-        driver,
-        reps,
-        params,
-        variants,
-        scenarios,
-        pipelines,
-        profiles,
-    })
-}
-
-/// Every scalar entry of a table as params (arrays/sub-tables rejected).
-fn table_params(file: &str, t: &Table) -> Result<Params, SpecError> {
-    table_params_except(file, t, &[])
-}
-
-fn table_params_except(file: &str, t: &Table, skip: &[&str]) -> Result<Params, SpecError> {
-    let mut out = Params::default();
-    for (k, item) in &t.entries {
-        if skip.contains(&k.value.as_str()) {
-            continue;
-        }
-        let v = match item {
-            Item::Value(v) => v,
-            _ => continue, // nested tables handled by dedicated keys
-        };
-        let pv = match &v.value {
-            TomlValue::Int(i) => ParamValue::Int(*i),
-            TomlValue::Float(x) => ParamValue::Float(*x),
-            TomlValue::Str(s) => ParamValue::Str(s.clone()),
-            TomlValue::Bool(b) => ParamValue::Bool(*b),
-            TomlValue::Array(_) => {
-                return Err(serr(
-                    file,
-                    v.span,
-                    format!("param {:?} must be a scalar, got an array", k.value),
-                ))
-            }
-        };
-        out.0.insert(k.value.clone(), pv);
-    }
-    Ok(out)
-}
-
-/// A `key = ["a", "b"]` list of names with spans preserved.
-fn name_list_raw(file: &str, t: &Table, key: &str) -> Result<Vec<Spanned<String>>, SpecError> {
-    let Some(v) = t.value(key) else {
-        return Ok(Vec::new());
-    };
-    let items = match &v.value {
-        TomlValue::Array(items) => items,
-        other => {
-            return Err(serr(
-                file,
-                v.span,
-                format!(
-                    "`{key}` must be an array of strings, got {}",
-                    other.type_name()
+/// Every experiment of the lab, sorted by name: the one place an
+/// experiment is defined. Each experiment's `quick` plan is pinned to the
+/// row ids of its committed `BENCH_<name>.json`, so adding, renaming or
+/// reshaping one here goes together with blessing its baseline.
+pub fn experiments() -> Vec<ExperimentSpec> {
+    use ParamValue::{Float, Int};
+    vec![
+        // The distributed engine end-to-end: decomposition, labeling, and
+        // SSSP on one partial k-tree, every CONGEST charge accounted per
+        // phase.
+        ExperimentSpec {
+            name: "engine",
+            driver: Driver::Engine,
+            params: params([("k", Int(1)), ("keep", Float(0.5)), ("seed", Int(7))]),
+            variants: Vec::new(),
+            profiles: BTreeMap::from([
+                ("quick", params([("n", Int(4000))])),
+                ("full", params([("n", Int(100_000))])),
+            ]),
+        },
+        // The full scenario x pipeline matrix: every corpus family through
+        // every pipeline, with the per-cell charged metrics and checksums
+        // gated exactly. The grid spans the live registries, so a new
+        // corpus family or pipeline joins the gate automatically.
+        ExperimentSpec {
+            name: "scenarios",
+            driver: Driver::Matrix,
+            params: Params::default(),
+            variants: Vec::new(),
+            profiles: BTreeMap::from([("quick", Params::default()), ("full", Params::default())]),
+        },
+        // The store behind a real loopback socket: differential wire check,
+        // then an open-loop multi-connection run with scheduled-send latency
+        // charging.
+        ExperimentSpec {
+            name: "servd",
+            driver: Driver::Servd,
+            params: params([
+                ("k", Int(1)),
+                ("keep", Float(0.5)),
+                ("seed", Int(7)),
+                ("diff_pairs", Int(2000)),
+                ("queries", Int(50_000)),
+                ("hot_pairs", Int(4096)),
+                ("hot_fraction", Float(0.75)),
+                ("rate_per_conn", Int(10_000)),
+            ]),
+            variants: layouts(),
+            profiles: BTreeMap::from([
+                (
+                    "quick",
+                    params([
+                        ("n", Int(4000)),
+                        ("conns", Int(2)),
+                        ("requests_per_conn", Int(4000)),
+                    ]),
                 ),
-            ))
-        }
-    };
-    items
-        .iter()
-        .map(|it| match &it.value {
-            TomlValue::Str(s) => Ok(Spanned {
-                span: it.span,
-                value: s.clone(),
-            }),
-            other => Err(serr(
-                file,
-                it.span,
-                format!("`{key}` entries must be strings, got {}", other.type_name()),
-            )),
+                (
+                    "full",
+                    params([
+                        ("n", Int(100_000)),
+                        ("conns", Int(4)),
+                        ("requests_per_conn", Int(40_000)),
+                    ]),
+                ),
+            ]),
+        },
+        // Build-once / query-many label serving: store compaction, file
+        // round-trip, and a skewed workload replayed single/batched/uncached.
+        // One trial per physical layout.
+        ExperimentSpec {
+            name: "serve",
+            driver: Driver::Serve,
+            params: params([
+                ("k", Int(1)),
+                ("keep", Float(0.5)),
+                ("seed", Int(7)),
+                ("queries", Int(50_000)),
+                ("hot_pairs", Int(4096)),
+                ("hot_fraction", Float(0.75)),
+            ]),
+            variants: layouts(),
+            profiles: BTreeMap::from([
+                ("quick", params([("n", Int(20_000))])),
+                // The headline build-once/query-many size.
+                (
+                    "full",
+                    params([("n", Int(1_000_000)), ("queries", Int(1_000_000))]),
+                ),
+                // CI's release-mode smoke: full-size store, shortened replay.
+                ("smoke", params([("n", Int(1_000_000))])),
+            ]),
+        },
+        // The paper's experiment tables (E1-E9) and appendix studies
+        // (A1-A3), one variant per table. Each variant prints its
+        // human-readable table and contributes row-labelled deterministic
+        // metrics to the gate.
+        ExperimentSpec {
+            name: "tables",
+            driver: Driver::Tables,
+            params: Params::default(),
+            variants: [
+                "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "a1", "a2", "a3",
+            ]
+            .map(|name| Variant {
+                name,
+                params: Params::default(),
+            })
+            .into(),
+            profiles: BTreeMap::from([("quick", Params::default()), ("full", Params::default())]),
+        },
+        // Incremental label maintenance: four heavy edit batches against one
+        // deep edit site, scoped rebuild work vs from-scratch, epoch-versioned
+        // serving probed by concurrent readers throughout.
+        ExperimentSpec {
+            name: "update",
+            driver: Driver::Update,
+            params: params([("k", Int(2)), ("keep", Float(0.5)), ("seed", Int(7))]),
+            variants: Vec::new(),
+            profiles: BTreeMap::from([
+                ("quick", params([("n", Int(20_000))])),
+                // At the headline size the scoped rebuild must beat scratch
+                // by 5x.
+                (
+                    "full",
+                    params([("n", Int(100_000)), ("min_speedup", Float(5.0))]),
+                ),
+            ]),
+        },
+    ]
+}
+
+/// A parameter map from `(key, value)` pairs.
+fn params<const N: usize>(entries: [(&str, ParamValue); N]) -> Params {
+    Params(
+        entries
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// One variant per physical store layout.
+fn layouts() -> Vec<Variant> {
+    ["flat", "packed"]
+        .map(|layout| Variant {
+            name: layout,
+            params: params([("layout", ParamValue::Str(layout.to_string()))]),
         })
-        .collect()
-}
-
-/// A validated scenario/pipeline name list (matrix dimensions).
-fn name_list(file: &str, t: &Table, key: &str) -> Result<Vec<String>, SpecError> {
-    let raw = name_list_raw(file, t, key)?;
-    match key {
-        "scenarios" => {
-            let known: Vec<String> = scenarios::corpus()
-                .iter()
-                .map(|s| s.name.to_string())
-                .collect();
-            for s in &raw {
-                if !known.contains(&s.value) {
-                    return Err(serr(
-                        file,
-                        s.span,
-                        format!("unknown scenario {:?} (expected one of {known:?})", s.value),
-                    ));
-                }
-            }
-        }
-        "pipelines" => {
-            let known: Vec<&'static str> = scenarios::all_pipelines()
-                .iter()
-                .map(|p| p.name())
-                .collect();
-            for s in &raw {
-                if !known.iter().any(|k| *k == s.value) {
-                    return Err(serr(
-                        file,
-                        s.span,
-                        format!("unknown pipeline {:?} (expected one of {known:?})", s.value),
-                    ));
-                }
-            }
-        }
-        _ => {}
-    }
-    Ok(raw.into_iter().map(|s| s.value).collect())
-}
-
-/// Scenario/pipeline restrictions only make sense for the matrix driver.
-fn validate_dims(
-    file: &str,
-    driver: Driver,
-    scenarios: &[String],
-    pipelines: &[String],
-) -> Result<(), SpecError> {
-    if driver != Driver::Matrix && (!scenarios.is_empty() || !pipelines.is_empty()) {
-        return Err(serr(
-            file,
-            Span { line: 1, col: 1 },
-            format!(
-                "`scenarios`/`pipelines` dimensions are only valid for the matrix driver, not {:?}",
-                driver.name()
-            ),
-        ));
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const MINIMAL: &str = r#"
-name = "demo"
-driver = "engine"
-reps = 2
-
-[params]
-n = 100
-keep = 0.5
-
-[profile.quick]
-n = 10
-"#;
-
-    #[test]
-    fn parses_a_minimal_spec() {
-        let s = parse_spec("demo.toml", MINIMAL).unwrap();
-        assert_eq!(s.name, "demo");
-        assert_eq!(s.driver, Driver::Engine);
-        assert_eq!(s.reps, 2);
-        assert_eq!(s.params.usize("n", 0), 100);
-        assert_eq!(s.params.f64("keep", 0.0), 0.5);
-        let quick = &s.profiles["quick"];
-        assert_eq!(s.params.overlaid(&quick.params).usize("n", 0), 10);
-    }
-
-    #[test]
-    fn unknown_driver_points_at_the_token() {
-        let e = parse_spec(
-            "x.toml",
-            "name = \"x\"\ndriver = \"warp\"\n[profile.quick]\nn = 1\n",
-        )
-        .unwrap_err();
-        assert_eq!(e.span.line, 2);
-        assert!(e.msg.contains("unknown driver \"warp\""), "{e}");
-        assert!(e.to_string().starts_with("x.toml:2:"), "{e}");
-    }
-
-    #[test]
-    fn unknown_scenario_and_pipeline_are_span_errors() {
-        let doc = "name = \"m\"\ndriver = \"matrix\"\nscenarios = [\"grid/unit\", \"nope/missing\"]\n[profile.quick]\n";
-        let e = parse_spec("m.toml", doc).unwrap_err();
-        assert_eq!(e.span.line, 3, "{e}");
-        assert!(e.msg.contains("unknown scenario \"nope/missing\""), "{e}");
-        assert!(e.msg.contains("grid/unit"), "expected-names list: {e}");
-
-        let doc = "name = \"m\"\ndriver = \"matrix\"\npipelines = [\"ssp\"]\n[profile.quick]\n";
-        let e = parse_spec("m.toml", doc).unwrap_err();
-        assert_eq!(e.span.line, 3, "{e}");
-        assert!(e.msg.contains("unknown pipeline \"ssp\""), "{e}");
-        assert!(e.msg.contains("sssp"), "expected-names list: {e}");
-    }
-
-    #[test]
-    fn dims_rejected_off_matrix_and_profiles_required() {
-        let doc =
-            "name = \"e\"\ndriver = \"engine\"\nscenarios = [\"grid/unit\"]\n[profile.quick]\n";
-        let e = parse_spec("e.toml", doc).unwrap_err();
-        assert!(e.msg.contains("only valid for the matrix driver"), "{e}");
-
-        let e = parse_spec("e.toml", "name = \"e\"\ndriver = \"engine\"\n").unwrap_err();
-        assert!(e.msg.contains("no [profile.*]"), "{e}");
-    }
-
-    #[test]
-    fn variants_parse_and_unknown_profile_variant_rejected() {
-        let doc = r#"
-name = "s"
-driver = "serve"
-
-[[variant]]
-name = "flat"
-layout = "flat"
-
-[[variant]]
-name = "packed"
-layout = "packed"
-
-[profile.quick]
-variants = ["flat"]
-"#;
-        let s = parse_spec("s.toml", doc).unwrap();
-        assert_eq!(s.variants.len(), 2);
-        assert_eq!(s.variants[1].params.str("layout", ""), "packed");
-        assert_eq!(s.profiles["quick"].variants, vec!["flat".to_string()]);
-
-        let bad = doc.replace("variants = [\"flat\"]", "variants = [\"mystery\"]");
-        let e = parse_spec("s.toml", &bad).unwrap_err();
-        assert!(e.msg.contains("unknown variant \"mystery\""), "{e}");
-    }
+        .into()
 }

@@ -246,9 +246,25 @@ impl Network {
         Self::with_projection(g, projection, cfg)
     }
 
-    /// A (possibly virtual) network whose word traffic is charged through
-    /// `projection` onto physical edges.
-    pub fn with_projection(g: UGraph, projection: EdgeProjection, cfg: NetworkConfig) -> Self {
+    /// A virtual network on the communication graph `g` whose node `v` is
+    /// simulated by node `host(v)` of `physical` (paper §5.2). A virtual
+    /// edge's words are charged to the physical edge joining its endpoints'
+    /// hosts, and an edge between two virtual nodes of one host is free.
+    /// A virtual edge whose two hosts are not adjacent in `physical` has no
+    /// channel to ride: [`CongestError::UnsimulatableEdge`].
+    pub fn with_hosts(
+        g: UGraph,
+        physical: &UGraph,
+        host: impl Fn(u32) -> u32,
+        cfg: NetworkConfig,
+    ) -> Result<Self, CongestError> {
+        let projection = EdgeProjection::from_hosts(&g, physical, host)?;
+        Ok(Self::with_projection(g, projection, cfg))
+    }
+
+    /// The network on `g` whose word traffic is charged through
+    /// `projection`, which maps `g`'s own edges onto physical slots.
+    fn with_projection(g: UGraph, projection: EdgeProjection, cfg: NetworkConfig) -> Self {
         let n = g.n();
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let mut uids: Vec<u64> = (0..n as u64)
@@ -279,7 +295,6 @@ impl Network {
             }
         }
         let (slot_fwd, slot_rev) = projection.slot_tables();
-        debug_assert_eq!(slot_fwd.len(), g.m());
 
         let arena = MailboxArena {
             slot_words: vec![0u64; projection.n_physical_edges() * 2],
@@ -1014,8 +1029,8 @@ mod tests {
         // (0,1) and (2,3) must not be charged.
         let phys = path(2);
         let virt = twgraph::UGraph::from_edges(4, [(0, 1), (2, 3), (0, 2)]);
-        let proj = crate::EdgeProjection::from_hosts(&virt, &phys, |v| v / 2).unwrap();
-        let mut net = Network::with_projection(virt, proj, NetworkConfig::default());
+        let mut net =
+            Network::with_hosts(virt, &phys, |v| v / 2, NetworkConfig::default()).unwrap();
         let mut states = vec![(); 4];
         // Heavy local chatter + one physical word: still 1 round.
         let rounds = superstep_all(
@@ -1031,6 +1046,36 @@ mod tests {
         .unwrap();
         assert_eq!(rounds, 1);
         assert_eq!(net.metrics().words, 1); // only the physical word counted
+    }
+
+    #[test]
+    fn virtual_network_charges_its_own_edges() {
+        // Physical: 0-1-2. Virtual, host v/2: (0,2) rides {0,1}, (2,4)
+        // rides {1,2}, (4,5) is local. Five words over (0,2) cost five
+        // rounds; the local chatter costs nothing.
+        let phys = path(3);
+        let virt = twgraph::UGraph::from_edges(6, [(0, 2), (2, 4), (4, 5)]);
+        let cfg = NetworkConfig::default();
+        let mut net = Network::with_hosts(virt, &phys, |v| v / 2, cfg).unwrap();
+        let mut states = vec![(); 6];
+        let rounds = superstep_all(
+            &mut net,
+            &mut states,
+            |u, _s| match u {
+                0 => vec![(2u32, vec![1u32; 5])],
+                4 => vec![(5u32, vec![9u32; 50])],
+                _ => Vec::new(),
+            },
+            |_v, _s, _inbox| {},
+        )
+        .unwrap();
+        assert_eq!((rounds, net.metrics().words), (5, 5));
+        // Hosts 0 and 2 share no physical edge.
+        let far = twgraph::UGraph::from_edges(6, [(0, 5)]);
+        assert_eq!(
+            Network::with_hosts(far, &phys, |v| v / 2, cfg).err(),
+            Some(CongestError::UnsimulatableEdge { u: 0, v: 2 })
+        );
     }
 
     #[test]
@@ -1223,8 +1268,7 @@ mod tests {
         }
         let virt = twgraph::UGraph::from_edges(12, edges);
         let make = || {
-            let proj = crate::EdgeProjection::from_hosts(&virt, &phys, |v| v / 2).unwrap();
-            Network::with_projection(virt.clone(), proj, NetworkConfig::default())
+            Network::with_hosts(virt.clone(), &phys, |v| v / 2, NetworkConfig::default()).unwrap()
         };
         assert_frontier_matches_full_scan(make, &[0]);
         assert_frontier_matches_full_scan(make, &[1, 10]);

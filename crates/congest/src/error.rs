@@ -33,7 +33,7 @@ pub enum CongestError {
         to: u32,
     },
     /// A virtual edge maps onto a non-edge of the physical graph — an
-    /// unsimulatable virtual link (see [`crate::EdgeProjection::from_hosts`]).
+    /// unsimulatable virtual link (see [`crate::Network::with_hosts`]).
     UnsimulatableEdge {
         /// Physical endpoint the virtual lo-endpoint maps to.
         u: u32,

@@ -66,10 +66,12 @@
 //! ## Virtual networks
 //!
 //! For the stateful-walk product graphs G_C (paper §5.2) every physical node
-//! hosts |Q| virtual nodes. [`EdgeProjection`] maps each virtual edge to the
-//! physical edge it rides on (or marks it node-local = free), so the charge
-//! for a virtual superstep is measured on physical edges — reproducing the
-//! O(|Q|·p_max) simulation overhead by measurement instead of by formula.
+//! hosts |Q| virtual nodes. [`Network::with_hosts`] builds such a network
+//! from the physical graph and the host map, mapping each virtual edge to
+//! the physical edge it rides on (or marking it node-local = free), so the
+//! charge for a virtual superstep is measured on physical edges —
+//! reproducing the O(|Q|·p_max) simulation overhead by measurement instead
+//! of by formula.
 
 mod engine;
 mod error;
@@ -80,5 +82,4 @@ mod wire;
 pub use engine::{Inbox, InboxIter, Network, NetworkConfig, Outbox};
 pub use error::CongestError;
 pub use metrics::{Metrics, PhaseSnapshot};
-pub use projection::{EdgeProjection, NO_SLOT};
 pub use wire::WireMsg;

@@ -5,7 +5,7 @@ use twgraph::UGraph;
 
 /// Sentinel directed-slot index for free (node-local) virtual edges, used
 /// in the tables returned by [`EdgeProjection::slot_tables`].
-pub const NO_SLOT: u32 = u32::MAX;
+pub(crate) const NO_SLOT: u32 = u32::MAX;
 
 /// Maps each undirected edge of a *virtual* communication graph onto the
 /// physical edge carrying it (paper §5.2: node `u` simulates all of
@@ -13,7 +13,7 @@ pub const NO_SLOT: u32 = u32::MAX;
 /// physical edge `{u, v}`; edges between two copies of the *same* node are
 /// node-local, i.e. free).
 #[derive(Clone, Debug)]
-pub struct EdgeProjection {
+pub(crate) struct EdgeProjection {
     /// For each virtual edge id: `(physical_edge_id, flipped)`, where
     /// `flipped` records whether the virtual edge's (lo, hi) endpoint order
     /// maps to the physical edge's (hi, lo). `LOCAL` marks free edges.

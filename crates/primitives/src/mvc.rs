@@ -155,7 +155,10 @@ impl InstState {
                     ParIn::FromOut => {
                         // Internal reverse arc used: cancel the unit.
                         if self.kind == K_INTERNAL {
-                            debug_assert!(self.internal_flow);
+                            // `closure` sets `FromOut` at an internal node
+                            // only while the residual arc v_out → v_in exists,
+                            // i.e. while the internal flow is 1.
+                            assert!(self.internal_flow, "reverse arc without flow");
                             self.internal_flow = false;
                         }
                         side_in = false;
@@ -172,7 +175,10 @@ impl InstState {
                     }
                     ParOut::FromIn => {
                         if self.kind == K_INTERNAL {
-                            debug_assert!(!self.internal_flow);
+                            // `closure` sets `FromIn` at an internal node only
+                            // while the forward arc v_in → v_out has capacity
+                            // left, i.e. while the internal flow is 0.
+                            assert!(!self.internal_flow, "forward arc already saturated");
                             self.internal_flow = true;
                         }
                         side_in = true;
@@ -458,7 +464,7 @@ pub fn batch_min_vertex_cut(
                         sink_hits[i] = u32::MAX;
                     } else if progress[i] == 0 && !bfs_has_fresh(&states, i as u32) {
                         // BFS exhausted without reaching a sink: extract cut.
-                        let cut = extract_cut(&states, &active, instances, i);
+                        let cut = extract_cut(&states, &active, i);
                         results[i] = Some(CutResult::Cut(cut));
                         phase[i] = Phase::Done;
                     }
@@ -516,12 +522,7 @@ fn bfs_has_fresh(states: &[NodeState], inst: u32) -> bool {
         .any(|s| s.get(&inst).is_some_and(|st| st.fresh_in || st.fresh_out))
 }
 
-fn extract_cut(
-    states: &[NodeState],
-    active: &[u32],
-    instances: &[CutInstance],
-    i: usize,
-) -> Vec<u32> {
+fn extract_cut(states: &[NodeState], active: &[u32], i: usize) -> Vec<u32> {
     let mut cut = Vec::new();
     for (pos, s) in states.iter().enumerate() {
         if let Some(st) = s.get(&(i as u32)) {
@@ -530,7 +531,6 @@ fn extract_cut(
             }
         }
     }
-    debug_assert!(!instances.is_empty());
     cut
 }
 

@@ -593,7 +593,9 @@ pub fn decompose_distributed(
                 continue;
             }
             let x = td.push_bag(parent, m.bag);
-            debug_assert_eq!(x, info.len());
+            // `td` and `info` grow in lockstep: every `push_bag` here is
+            // followed by exactly one `info.push`, so node x's info is next.
+            assert_eq!(x, info.len(), "tree node ids out of step with info");
             for (comp, child_inherited) in &m.children {
                 next_level.push_item(Some(x), comp, child_inherited);
             }

@@ -3,7 +3,7 @@
 
 use crate::constraint::{StateId, StatefulConstraint, NABLA};
 use crate::product::{build_product, ProductGraph};
-use congest_sim::{CongestError, EdgeProjection, Metrics, Network, NetworkConfig};
+use congest_sim::{CongestError, Metrics, Network, NetworkConfig};
 use distlabel::label::{decode, Label};
 use distlabel::{build_labels_centralized, build_labels_distributed};
 use treedec::decomp::NodeInfo;
@@ -91,8 +91,7 @@ impl CdlLabeling {
         let virt = product.graph.comm_graph();
         let phys = inst.comm_graph();
         let q = product.q as u32;
-        let proj = EdgeProjection::from_hosts(&virt, &phys, |pv| pv / q)?;
-        let mut vnet = Network::with_projection(virt, proj, cfg);
+        let mut vnet = Network::with_hosts(virt, &phys, |pv| pv / q, cfg)?;
         let (labels, _rounds) = build_labels_distributed(&mut vnet, &product.graph, &ltd, &linfo)?;
         Ok((CdlLabeling { product, labels }, *vnet.metrics()))
     }

@@ -12,7 +12,7 @@
 //! labeling machinery on `G_C`. Distributed executions use a *virtual
 //! network*: physical node `u` hosts all of `U_Q(u)`, and every virtual
 //! message is charged to the physical edge it rides
-//! ([`congest_sim::EdgeProjection`]) — the O(|Q|·p_max) simulation
+//! ([`congest_sim::Network::with_hosts`]) — the O(|Q|·p_max) simulation
 //! overhead of §5.2, reproduced by measurement.
 //!
 //! Provided constraints: [`ColoredWalk`] (Example 1), [`CountWalk`]
